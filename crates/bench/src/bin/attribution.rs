@@ -22,7 +22,7 @@
 //! ```
 
 use pim_bench::json::{parse, write_json, Json};
-use pim_bench::perfetto::{chrome_trace_full, validate_chrome_trace};
+use pim_bench::perfetto::{chrome_trace, validate_chrome_trace};
 use pim_bench::report::{report_json, report_markdown, RunSection};
 use pim_runtime::{
     policy_by_name, Attribution, HostQueueConfig, Preemption, Runtime, RuntimeConfig,
@@ -276,7 +276,7 @@ fn main() {
     let top = kick[kick.len() - 1];
     let rt = top.serving.runtime();
     let names: Vec<&str> = rt.tenant_stats().iter().map(|(n, _)| *n).collect();
-    let trace = chrome_trace_full(
+    let trace = chrome_trace(
         rt.recorder(),
         &names,
         rt.config().shards,

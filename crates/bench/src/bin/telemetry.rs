@@ -126,6 +126,8 @@ fn export(serving: &ServingSystem) -> (String, String) {
         &names,
         rt.config().shards,
         serving.sample_series(),
+        None,
+        None,
     );
     let snap = snapshot_json(&serving.telemetry_snapshot());
     (trace.render(), snap.render())

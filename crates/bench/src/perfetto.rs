@@ -109,17 +109,7 @@ fn device_label(
 /// trace-event document. `tenants` are the process names in tenant
 /// order; `shards` fixes how many engine threads the machine process
 /// advertises (so empty tracks still appear, keeping layout stable
-/// across seeds).
-pub fn chrome_trace(
-    rec: &FlightRecorder,
-    tenants: &[&str],
-    shards: usize,
-    series: Option<&SampleSeries>,
-) -> Json {
-    chrome_trace_full(rec, tenants, shards, series, None, None)
-}
-
-/// [`chrome_trace`] plus the PR 8 analysis layers:
+/// across seeds). The analysis layers overlay on request:
 ///
 /// * when `attribution` is given, every completed job's async slice
 ///   opens with its stage waterfall (per-[`Stage`] nanoseconds, chunk
@@ -129,7 +119,7 @@ pub fn chrome_trace(
 ///   (tid `1 + shards`) carrying one instant per edge-triggered breach
 ///   (named `{class} {kind}`, burn rates in `args`), and the tracker's
 ///   sampled burn-rate/goodput series joins the counter tracks.
-pub fn chrome_trace_full(
+pub fn chrome_trace(
     rec: &FlightRecorder,
     tenants: &[&str],
     shards: usize,
@@ -739,7 +729,7 @@ mod tests {
                 .job(1)
                 .bytes(4096),
         ]);
-        let trace = chrome_trace(&rec, &["alpha"], 1, None);
+        let trace = chrome_trace(&rec, &["alpha"], 1, None, None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.device_slices, 1);
         assert_eq!(summary.async_slices, 1);
@@ -801,7 +791,7 @@ mod tests {
                 .job(7)
                 .bytes(8192),
         ]);
-        let trace = chrome_trace(&rec, &["alpha", "beta"], 1, None);
+        let trace = chrome_trace(&rec, &["alpha", "beta"], 1, None, None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.device_slices, 2, "two engine occupancies");
         assert_eq!(summary.async_slices, 2, "job slice + suspended slice");
@@ -813,7 +803,7 @@ mod tests {
         series.record(0.0, &[2.0, 1.5]);
         series.record(10.0, &[1.0, 3.0]);
         let rec = recorder_with(&[]);
-        let trace = chrome_trace(&rec, &[], 2, Some(&series));
+        let trace = chrome_trace(&rec, &[], 2, Some(&series), None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.counter_samples, 4);
     }
@@ -833,7 +823,7 @@ mod tests {
                 .seq(1)
                 .bytes(0),
         ]);
-        let trace = chrome_trace(&rec, &[], 1, None);
+        let trace = chrome_trace(&rec, &[], 1, None, None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.device_slices, 2);
     }
@@ -863,7 +853,7 @@ mod tests {
                 .job(3)
                 .bytes(8192),
         ]);
-        let trace = chrome_trace(&rec, &["alpha"], 1, None);
+        let trace = chrome_trace(&rec, &["alpha"], 1, None, None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.async_slices, 2);
     }
@@ -888,7 +878,7 @@ mod tests {
                 .job(1)
                 .bytes(2048),
         ]);
-        let trace = chrome_trace(&rec, &["alpha"], 1, None);
+        let trace = chrome_trace(&rec, &["alpha"], 1, None, None, None);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert_eq!(summary.device_slices, 0);
         assert_eq!(summary.async_slices, 0);
@@ -950,7 +940,7 @@ mod tests {
         slo.sample(200.0);
         assert!(!slo.breaches().is_empty(), "test setup must breach");
 
-        let trace = chrome_trace_full(&rec, &["alpha"], 1, None, Some(&attribution), Some(&slo));
+        let trace = chrome_trace(&rec, &["alpha"], 1, None, Some(&attribution), Some(&slo));
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert!(summary.counter_samples >= 6, "{}", summary.counter_samples);
         let rendered = trace.render();
@@ -962,8 +952,8 @@ mod tests {
         for needle in ["\"slo\"", "slo.alpha.burn_fast", "alpha latency-burn"] {
             assert!(rendered.contains(needle), "missing `{needle}`");
         }
-        // The plain exporter is unchanged by the new layers.
-        let plain = chrome_trace(&rec, &["alpha"], 1, None);
+        // Without the layers the export carries none of them.
+        let plain = chrome_trace(&rec, &["alpha"], 1, None, None, None);
         assert!(!plain.render().contains("queue-wait"));
     }
 

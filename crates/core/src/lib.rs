@@ -23,8 +23,9 @@
 //! # Quick start
 //!
 //! ```
+//! use pim_dram::Completion;
 //! use pim_mapping::{HetMap, Organization, PimAddrSpace};
-//! use pim_mmu::{Dce, DceConfig, DceMode, PimMmuOp, XferKind};
+//! use pim_mmu::{Dce, DceConfig, DceMode, PimMmuOp};
 //!
 //! let dram = Organization::ddr4_dimm(4, 2);
 //! let pim = Organization::upmem_dimm(4, 2);
@@ -38,8 +39,20 @@
 //!     0,
 //! );
 //! let mut dce = Dce::new(DceConfig::table1(), het, space);
-//! dce.submit(op, DceMode::PimMs).unwrap();
-//! assert!(dce.busy());
+//! dce.enqueue(op, DceMode::PimMs).unwrap();
+//!
+//! // Tick the engine against a memory that completes every request at
+//! // once; the descriptor retires into the completion ring.
+//! while dce.busy() {
+//!     dce.tick();
+//!     while let Some(r) = dce.outbox_mut().pop_front() {
+//!         let (id, kind, source) = (r.req.id, r.req.kind, r.req.source);
+//!         let cycle = dce.cycle();
+//!         dce.on_completion(Completion { id, kind, source, cycle });
+//!     }
+//! }
+//! let rec = dce.pop_completion().unwrap();
+//! assert_eq!(rec.bytes, 16 * 8192);
 //! ```
 
 pub mod config;

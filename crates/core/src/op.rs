@@ -30,9 +30,6 @@ pub enum OpError {
         /// Entries available.
         capacity: usize,
     },
-    /// The engine is already executing a transfer (the driver serializes
-    /// ops; a second `pim_mmu_transfer` must wait for the interrupt).
-    EngineBusy,
 }
 
 impl std::fmt::Display for OpError {
@@ -48,7 +45,6 @@ impl std::fmt::Display for OpError {
                 f,
                 "{requested} entries exceed the address buffer capacity of {capacity}"
             ),
-            OpError::EngineBusy => f.write_str("the DCE is already executing a transfer"),
         }
     }
 }
@@ -102,32 +98,6 @@ impl PimMmuOp {
         };
         op.check_shape()?;
         Ok(op)
-    }
-
-    /// Checked DRAM→PIM construction (see [`try_new`](Self::try_new)).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_new`](Self::try_new).
-    pub fn try_to_pim(
-        entries: impl IntoIterator<Item = (PhysAddr, u32)>,
-        size_per_pim: u64,
-        heap_offset: u64,
-    ) -> Result<Self, OpError> {
-        Self::try_new(XferKind::DramToPim, entries, size_per_pim, heap_offset)
-    }
-
-    /// Checked PIM→DRAM construction (see [`try_new`](Self::try_new)).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_new`](Self::try_new).
-    pub fn try_from_pim(
-        entries: impl IntoIterator<Item = (PhysAddr, u32)>,
-        size_per_pim: u64,
-        heap_offset: u64,
-    ) -> Result<Self, OpError> {
-        Self::try_new(XferKind::PimToDram, entries, size_per_pim, heap_offset)
     }
 
     /// Build a DRAM→PIM descriptor.
@@ -227,29 +197,19 @@ impl PimMmuOp {
         Ok(out)
     }
 
-    /// Validate against the address-buffer capacity.
+    /// Validate the shape (as [`try_new`](Self::try_new) does), then
+    /// the address-buffer capacity.
     ///
     /// # Errors
     ///
     /// See [`OpError`].
     pub fn validate(&self, addr_buffer_entries: usize) -> Result<(), OpError> {
-        if self.size_per_pim == 0 || !self.size_per_pim.is_multiple_of(LINE_BYTES) {
-            return Err(OpError::BadSize(self.size_per_pim));
-        }
-        if self.entries.is_empty() {
-            return Err(OpError::Empty);
-        }
+        self.check_shape()?;
         if self.entries.len() > addr_buffer_entries {
             return Err(OpError::AddressBufferOverflow {
                 requested: self.entries.len(),
                 capacity: addr_buffer_entries,
             });
-        }
-        let mut seen = std::collections::HashSet::new();
-        for &(_, core) in &self.entries {
-            if !seen.insert(core) {
-                return Err(OpError::DuplicateCore(core));
-            }
         }
         Ok(())
     }
@@ -291,11 +251,11 @@ mod tests {
         // Regression: a zero-byte job must fail with a typed error at
         // construction, not divide or schedule-empty-panic downstream.
         assert_eq!(
-            PimMmuOp::try_to_pim([(PhysAddr(0), 0)], 0, 0),
+            PimMmuOp::try_new(XferKind::DramToPim, [(PhysAddr(0), 0)], 0, 0),
             Err(OpError::BadSize(0))
         );
         assert_eq!(
-            PimMmuOp::try_from_pim([(PhysAddr(0), 0)], 96, 0),
+            PimMmuOp::try_new(XferKind::PimToDram, [(PhysAddr(0), 0)], 96, 0),
             Err(OpError::BadSize(96))
         );
     }
@@ -304,7 +264,7 @@ mod tests {
     fn construction_rejects_zero_core_jobs() {
         // Regression: a job naming no PIM cores is refused up front.
         assert_eq!(
-            PimMmuOp::try_to_pim(std::iter::empty(), 64, 0),
+            PimMmuOp::try_new(XferKind::DramToPim, std::iter::empty(), 64, 0),
             Err(OpError::Empty)
         );
         assert_eq!(
@@ -315,11 +275,16 @@ mod tests {
 
     #[test]
     fn checked_construction_accepts_and_matches_unchecked() {
-        let a = PimMmuOp::try_to_pim([(PhysAddr(64), 3)], 128, 256).unwrap();
+        let a = PimMmuOp::try_new(XferKind::DramToPim, [(PhysAddr(64), 3)], 128, 256).unwrap();
         let b = PimMmuOp::to_pim([(PhysAddr(64), 3)], 128, 256);
         assert_eq!(a, b);
         assert_eq!(
-            PimMmuOp::try_to_pim([(PhysAddr(0), 1), (PhysAddr(64), 1)], 64, 0),
+            PimMmuOp::try_new(
+                XferKind::DramToPim,
+                [(PhysAddr(0), 1), (PhysAddr(64), 1)],
+                64,
+                0
+            ),
             Err(OpError::DuplicateCore(1))
         );
     }
@@ -408,5 +373,10 @@ mod tests {
         ));
         // Error messages are human-readable.
         assert!(op.validate(64).unwrap_err().to_string().contains("64"));
+        // Shape errors come before capacity: an op that both overflows
+        // and repeats a core reports the repeat.
+        let mut dup = op.clone();
+        dup.entries[99].1 = 0;
+        assert_eq!(dup.validate(64), Err(OpError::DuplicateCore(0)));
     }
 }

@@ -969,12 +969,6 @@ impl Runtime {
         }
     }
 
-    /// Single-shard alias of [`poll_shard`](Self::poll_shard) (shard 0),
-    /// kept for standalone harnesses driving one engine.
-    pub fn poll(&mut self, dce: &mut Dce, now_ns: f64) {
-        self.poll_shard(0, dce, now_ns);
-    }
-
     /// The shard-aware submission path, called at every decision-clock
     /// edge with the whole engine array (after the shard polls when the
     /// edges coincide, before the engines' own ticks): while rings have
@@ -1362,8 +1356,7 @@ impl Runtime {
             let entries = st.entries();
             t.stats.suspended.record(now_ns - recalled_at);
             t.stats.resumes += 1;
-            dce.resume(st)
-                .expect("suspended transfers re-install cleanly");
+            dce.resume(st);
             (bytes, entries)
         } else {
             let chunk = job.chunks.pop_front().expect("dispatch head has chunks");
@@ -1456,23 +1449,6 @@ impl Runtime {
         self.recorder
             .record(SpanEvent::new(SpanKind::Doorbell, now_ns).shard(shard));
     }
-
-    /// One host-interface service round at a decision-clock edge:
-    /// [`poll`](Self::poll) then [`dispatch`](Self::dispatch). Call once
-    /// per edge, after [`tick`](Tickable::tick) and before the engine's
-    /// own tick. (The serving composer calls the two halves at their own
-    /// clock domains instead; with the default configuration the edges
-    /// coincide and the ordering is identical.) Single-shard runtimes
-    /// only — a sharded composer drives each shard's poll and a whole-
-    /// array dispatch itself.
-    pub fn drive(&mut self, dce: &mut Dce, now_ns: f64) {
-        assert_eq!(
-            self.cfg.shards, 1,
-            "drive() is the single-shard convenience path"
-        );
-        self.poll_shard(0, dce, now_ns);
-        self.dispatch(std::slice::from_mut(dce), now_ns);
-    }
 }
 
 /// Bit `c` set for every PIM channel `c` the chunk's entries sweep
@@ -1506,7 +1482,7 @@ impl Tickable for Runtime {
 
     fn drain_outputs(&mut self, _sink: &mut dyn FnMut(Output) -> bool) {
         // The runtime issues no memory traffic of its own; it feeds the
-        // DCE through `drive`.
+        // engines through `dispatch`.
     }
 
     fn stats_snapshot(&self) -> StatsSnapshot {

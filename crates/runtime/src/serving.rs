@@ -121,8 +121,7 @@ impl ServingSystem {
             }
         });
         if telemetry.enabled {
-            for s in 0..shards {
-                let dce = sys.engine_mut(s).expect("one engine per shard");
+            for dce in sys.engines_mut() {
                 let ns_per_cycle = dce.config().period_ps() as f64 / 1000.0;
                 dce.enable_span_tap(ns_per_cycle, SPAN_TAP_CAPACITY);
             }
@@ -201,8 +200,7 @@ impl ServingSystem {
     /// pollers drain taps at every poll edge; call this once after a
     /// run so events recorded after the final poll are not stranded.
     pub fn flush_spans(&mut self) {
-        for s in 0..self.runtime.config().shards {
-            let dce = self.sys.engine_mut(s).expect("one engine per shard");
+        for dce in self.sys.engines_mut() {
             dce.drain_spans(self.runtime.recorder_mut());
         }
     }
@@ -314,7 +312,7 @@ impl ServingSystem {
                     Tickable::skip(self.runtime.queue_pairs_mut().shard_mut(s), missed);
                 }
                 Tickable::tick(self.runtime.queue_pairs_mut().shard_mut(s));
-                let dce = self.sys.engine_mut(s).expect("one engine per shard");
+                let dce = &mut self.sys.engines_mut()[s];
                 self.runtime.poll_shard(s, dce, now_ns);
             }
             self.sys.credit_domain_wall_ns(self.poller, elapsed(t0));

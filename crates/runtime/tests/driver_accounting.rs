@@ -68,7 +68,8 @@ fn e2e_of_one_job(driver: DriverModel, per_core_bytes: u64, chunk_bytes: u64) ->
     for cycle in 0..40_000_000u64 {
         Tickable::tick(&mut rt);
         let now_ns = rt.now_ns();
-        rt.drive(&mut dce, now_ns);
+        rt.poll_shard(0, &mut dce, now_ns);
+        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
         dce.tick();
         while let Some(r) = dce.outbox_mut().pop_front() {
             pending.push_back((
@@ -218,7 +219,8 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
     for cycle in 0..40_000_000u64 {
         Tickable::tick(&mut rt);
         let now_ns = rt.now_ns();
-        rt.drive(&mut dce, now_ns);
+        rt.poll_shard(0, &mut dce, now_ns);
+        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
         let db = rt.host_stats().doorbells;
         if db > doorbells_seen {
             doorbells_seen = db;

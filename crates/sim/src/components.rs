@@ -68,12 +68,11 @@ impl Tickable for Dce {
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
-        // An engine with an unfinished job or queued descriptors ticks
-        // every cycle (so controller completions always land on an armed
-        // domain); one whose job completed and awaits host retirement —
-        // or with nothing resident at all — is parked until the composer
-        // wakes it on submit/doorbell/resume.
-        if (self.busy() && self.completed_at().is_none()) || self.pending_descriptors() > 0 {
+        // An engine with an active job or queued descriptors ticks every
+        // cycle (so controller completions always land on an armed
+        // domain); one with nothing resident is parked until the
+        // composer wakes it on enqueue/doorbell/resume.
+        if self.busy() || self.pending_descriptors() > 0 {
             Some(now)
         } else {
             None

@@ -174,17 +174,6 @@ impl System {
         &self.cluster
     }
 
-    /// The first DCE engine, when present (the single-engine view; the
-    /// one-shot harness and every pre-sharding caller use this).
-    pub fn dce(&self) -> Option<&Dce> {
-        self.engines.first()
-    }
-
-    /// Mutable access to the first DCE engine (for job submission).
-    pub fn dce_mut(&mut self) -> Option<&mut Dce> {
-        self.engines.first_mut()
-    }
-
     /// The full engine array (empty iff the design has no DCE); engine
     /// `s` is shard `s`.
     pub fn engines(&self) -> &[Dce] {
@@ -201,11 +190,6 @@ impl System {
     /// pending, or awaiting a completion drain anywhere in the array.
     pub fn engines_idle(&self) -> bool {
         self.engines.iter().all(Dce::idle)
-    }
-
-    /// Mutable access to one shard's engine.
-    pub fn engine_mut(&mut self, shard: usize) -> Option<&mut Dce> {
-        self.engines.get_mut(shard)
     }
 
     /// DRAM-side controllers.
@@ -812,12 +796,6 @@ impl System {
         self.dram.iter().chain(self.pim.iter()).all(|c| c.idle())
     }
 
-    /// Mutable access to the cluster (for wiring additional threads'
-    /// completion checks in tests).
-    pub fn cluster_mut(&mut self) -> &mut CpuCluster {
-        &mut self.cluster
-    }
-
     /// Sum of written bytes on each PIM channel per sampling window.
     pub fn pim_channel_write_windows(&self) -> Vec<Vec<u64>> {
         self.pim
@@ -1047,9 +1025,9 @@ mod tests {
     #[test]
     fn dce_present_only_when_designed() {
         let sys = System::new(SystemConfig::table1(DesignPoint::Baseline), vec![]);
-        assert!(sys.dce().is_none());
+        assert!(sys.engines().is_empty());
         let sys = System::new(SystemConfig::table1(DesignPoint::BaseDHP), vec![]);
-        assert!(sys.dce().is_some());
+        assert_eq!(sys.engines().len(), 1);
     }
 
     #[test]
@@ -1073,8 +1051,6 @@ mod tests {
         for (s, e) in sys.engines().iter().enumerate() {
             assert_eq!(e.shard(), u32::try_from(s).unwrap());
         }
-        // The single-engine accessors alias shard 0.
-        assert_eq!(sys.dce().unwrap().shard(), 0);
         // Designs without a DCE ignore the count.
         let mut base = SystemConfig::table1(DesignPoint::Baseline);
         base.dce_count = 4;

@@ -190,16 +190,13 @@ pub fn run_transfer(cfg: &SystemConfig, spec: &TransferSpec) -> TransferResult {
             XferKind::DramToPim => PimMmuOp::to_pim(spec.entries(), spec.size_per_core(), 0),
             XferKind::PimToDram => PimMmuOp::from_pim(spec.entries(), spec.size_per_core(), 0),
         };
-        sys.dce_mut()
-            .expect("design uses a DCE")
-            .submit(op, design.dce_mode())
+        sys.engines_mut()[0]
+            .enqueue(op, design.dce_mode())
             .expect("op validated");
     }
 
     let finished = if design.uses_dce() {
-        sys.run_until(spec.max_ns, |s| {
-            s.dce().expect("present").completed_at().is_some()
-        })
+        sys.run_until(spec.max_ns, |s| !s.engines()[0].busy())
     } else {
         let last = n_transfer_threads;
         sys.run_until(spec.max_ns, move |s| {
@@ -216,7 +213,10 @@ pub fn run_transfer(cfg: &SystemConfig, spec: &TransferSpec) -> TransferResult {
 
     let mut elapsed_ns = if design.uses_dce() {
         // DCE cycles -> ns, plus the driver round trip (§IV-B).
-        let cycles = sys.dce().expect("present").completed_at().expect("done");
+        let cycles = sys.engines_mut()[0]
+            .pop_completion()
+            .expect("the retired descriptor left a record")
+            .completed_at;
         let engine_ns = cycles as f64 * sys.cfg.dce.period_ps() as f64 / 1000.0;
         engine_ns + sys.cfg.driver.round_trip_ns(spec.n_cores as usize)
     } else {

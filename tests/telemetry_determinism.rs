@@ -51,7 +51,14 @@ fn export_once() -> (String, String) {
     serving.flush_spans();
     let rt = serving.runtime();
     let names: Vec<&str> = rt.tenant_stats().iter().map(|(n, _)| *n).collect();
-    let trace = chrome_trace(rt.recorder(), &names, shards, serving.sample_series());
+    let trace = chrome_trace(
+        rt.recorder(),
+        &names,
+        shards,
+        serving.sample_series(),
+        None,
+        None,
+    );
     let snap = snapshot_json(&serving.telemetry_snapshot());
     (trace.render(), snap.render())
 }

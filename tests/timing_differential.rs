@@ -6,11 +6,12 @@
 //! compared to the `f64` *bit*: one-shot [`TransferResult`]s across the
 //! design-point ladder, and serving-runtime job records, tenant stats
 //! and host-interface counters across randomized policy × placement ×
-//! preemption × idle-gap scenarios.
+//! preemption × continuation × affinity × idle-gap scenarios.
 //!
 //! The sparse scenarios additionally assert `edges_skipped > 0` in the
-//! event-driven run: equality is only evidence if the idle-skip
-//! machinery actually engaged.
+//! event-driven run, and that some engine continued a predecessor's
+//! sweep: equality is only evidence if the idle-skip machinery and the
+//! continuation path actually engaged.
 
 use pim_mmu::XferKind;
 use pim_runtime::{
@@ -93,7 +94,8 @@ fn software_memcpy_is_bit_identical() {
 }
 
 /// One randomized serving scenario: tenant mix, host-queue shape,
-/// placement, preemption and policy all derived from `seed` via a
+/// placement, preemption, policy, sweep continuation and channel
+/// affinity all derived from `seed` via a
 /// splitmix64 stream, with arrival gaps long enough that the host goes
 /// fully quiescent between bursts (the idle windows event-driven mode
 /// must skip without observable effect).
@@ -144,7 +146,7 @@ fn scenario(seed: u64) -> Scenario {
             t
         })
         .collect();
-    let rt_cfg = RuntimeConfig {
+    let mut rt_cfg = RuntimeConfig {
         chunk_bytes: 16 << 10,
         open_until_ns: 30_000.0,
         seed: splitmix(&mut s),
@@ -160,10 +162,15 @@ fn scenario(seed: u64) -> Scenario {
         preemption,
         ..RuntimeConfig::default()
     };
+    // Drawn after every other axis, so those keep their per-seed values.
+    rt_cfg.sweep_continuation = splitmix(&mut s).is_multiple_of(2);
+    rt_cfg.channel_affinity = splitmix(&mut s).is_multiple_of(2);
     let label = format!(
-        "seed {seed}: {policy}/{}/{} shards={shards} depth={depth}",
+        "seed {seed}: {policy}/{}/{} shards={shards} depth={depth} continuation={} affinity={}",
         placement.name(),
-        preemption.name()
+        preemption.name(),
+        rt_cfg.sweep_continuation,
+        rt_cfg.channel_affinity
     );
     Scenario {
         rt_cfg,
@@ -251,9 +258,19 @@ fn assert_serving_eq(a: &ServingSystem, b: &ServingSystem, label: &str) {
     );
 }
 
+/// Chunks that continued their predecessor's sweep, over all engines.
+fn continuations(s: &ServingSystem) -> u64 {
+    s.system()
+        .engines()
+        .iter()
+        .map(|e| e.stats().continuations)
+        .sum()
+}
+
 #[test]
 fn randomized_serving_scenarios_are_bit_identical_and_actually_skip() {
     let mut skipped_any = false;
+    let mut continued_any = false;
     for seed in 0..8u64 {
         let sc = scenario(seed);
         let (cs, cs_drained) = run_serving(&sc, TimingMode::CycleStepped);
@@ -276,9 +293,20 @@ fn randomized_serving_scenarios_are_bit_identical_and_actually_skip() {
             ref_stats.events_fired
         );
         skipped_any |= stats.edges_skipped > 0;
+        assert_eq!(
+            continuations(&cs),
+            continuations(&ed),
+            "{}: engine continuations",
+            sc.label
+        );
+        continued_any |= continuations(&ed) > 0;
     }
     assert!(
         skipped_any,
         "no scenario engaged idle-skip; the differential proves nothing"
+    );
+    assert!(
+        continued_any,
+        "no scenario continued a sweep; the continuation path went untested"
     );
 }
