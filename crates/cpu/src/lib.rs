@@ -26,7 +26,6 @@ pub mod llc;
 pub mod os;
 pub mod streams;
 pub mod trace;
-pub mod tracefile;
 
 pub use cluster::{ClusterStats, CpuCluster, OutRequest};
 pub use config::CpuConfig;
@@ -34,4 +33,3 @@ pub use core::Core;
 pub use llc::Llc;
 pub use os::OsScheduler;
 pub use trace::{InstrStream, Thread, ThreadKind, TraceOp};
-pub use tracefile::{parse_trace, write_trace, ReplayStream};

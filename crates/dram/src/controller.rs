@@ -22,9 +22,6 @@ pub struct ControllerConfig {
     pub write_lo_watermark: usize,
     /// Whether refresh is modeled.
     pub refresh: bool,
-    /// If `false`, fall back to strict FCFS (no row-hit-first reordering);
-    /// used by the ablation benches.
-    pub fr_fcfs: bool,
 }
 
 impl Default for ControllerConfig {
@@ -35,7 +32,6 @@ impl Default for ControllerConfig {
             write_hi_watermark: 48,
             write_lo_watermark: 16,
             refresh: true,
-            fr_fcfs: true,
         }
     }
 }
@@ -43,7 +39,6 @@ impl Default for ControllerConfig {
 #[derive(Debug, Clone)]
 struct Pending {
     req: MemRequest,
-    arrival: u64,
     /// Set once the controller has issued an ACT or PRE on behalf of this
     /// request (row-hit/miss/conflict classification).
     needed_act: bool,
@@ -78,6 +73,9 @@ pub struct MemController {
     /// there keeps [`next_event_cycle`](Self::next_event_cycle) O(1) in
     /// the rank count on the hot idle-skip path.
     refresh_min: u64,
+    /// Scratch bitset for [`schedule`](Self::schedule), one bit per bank
+    /// of the channel: the banks whose open row a queued request wants.
+    wanted_rows: Vec<u64>,
 }
 
 impl MemController {
@@ -112,6 +110,7 @@ impl MemController {
             stats: ChannelStats::default(),
             command_log: None,
             refresh_min,
+            wanted_rows: vec![0; org.banks_per_channel().div_ceil(64) as usize],
         }
     }
 
@@ -244,7 +243,6 @@ impl MemController {
         }
         let p = Pending {
             req,
-            arrival: self.clock,
             needed_act: false,
         };
         match req.kind {
@@ -351,109 +349,78 @@ impl MemController {
         }
     }
 
+    /// FR-FCFS over the queue the drain mode selects: the oldest row hit
+    /// that can issue now; else an ACT for the oldest request whose bank is
+    /// closed; else a PRE for the oldest request blocked by another open
+    /// row, unless a queued request still wants that row. The other queue
+    /// waits even when this one cannot issue: one queue per cycle keeps
+    /// the model simple and matches a single command bus.
     fn schedule(&mut self, now: u64) {
         self.update_drain_mode();
-        let use_writes = self.draining;
-        // Split-borrow helper: operate on the selected queue.
-        let issued = if use_writes {
-            self.schedule_queue(now, AccessKind::Write)
+        let (kind, col_cmd) = if self.draining {
+            (AccessKind::Write, Command::Wr)
         } else {
-            self.schedule_queue(now, AccessKind::Read)
+            (AccessKind::Read, Command::Rd)
         };
-        if !issued {
-            // Opportunistically issue from the other queue's ACT/PRE path
-            // is omitted: one queue per cycle keeps the model simple and
-            // matches a single command bus.
-        }
-    }
-
-    /// FR-FCFS over one queue. Returns `true` if a command issued.
-    fn schedule_queue(&mut self, now: u64, kind: AccessKind) -> bool {
-        let col_cmd = match kind {
-            AccessKind::Read => Command::Rd,
-            AccessKind::Write => Command::Wr,
-        };
-        let q_len = match kind {
-            AccessKind::Read => self.read_q.len(),
-            AccessKind::Write => self.write_q.len(),
-        };
-        if q_len == 0 {
-            return false;
-        }
-
-        // Pass 1: first-ready row hit (or strict-FCFS head-only check).
-        let limit = if self.cfg.fr_fcfs { q_len } else { 1 };
-        let mut hit_idx: Option<usize> = None;
-        for i in 0..limit {
-            let p = self.queue(kind)[i].clone();
-            if self.state.open_row(&p.req.addr) == Some(p.req.addr.row)
-                && self.state.can_issue(col_cmd, &p.req.addr, now)
-            {
-                hit_idx = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = hit_idx {
-            let p = self.queue_mut(kind).remove(i).expect("index in range");
-            self.issue_column(now, col_cmd, p);
-            return true;
-        }
-
-        // Pass 2: oldest request whose bank is closed -> ACT.
-        for i in 0..limit {
-            let (addr, rank) = {
-                let p = &self.queue(kind)[i];
-                (p.req.addr, p.req.addr.rank)
-            };
-            if self.refresh_due(rank) {
-                continue;
-            }
-            if self.state.open_row(&addr).is_none()
-                && self.state.can_issue(Command::Act, &addr, now)
-            {
-                self.issue_cmd(Command::Act, &addr, now);
-                self.stats.activates += 1;
-                self.queue_mut(kind)[i].needed_act = true;
-                return true;
-            }
-        }
-
-        // Pass 3: oldest request blocked by a different open row -> PRE,
-        // but only if no queued request still wants that open row.
-        for i in 0..limit {
-            let addr = self.queue(kind)[i].req.addr;
-            let open = self.state.open_row(&addr);
-            let Some(open_row) = open else { continue };
-            if open_row == addr.row {
-                continue; // handled by pass 1 once timing allows
-            }
-            if self.refresh_due(addr.rank) {
-                continue;
-            }
-            // Keep the row open only if a request *this scheduler pass
-            // could still serve* wants it: in FR-FCFS that is any request
-            // in the same queue (pass 1 will pick it up); under strict
-            // FCFS only the head is servable, so the guard must be
-            // disabled or the head deadlocks behind the open row.
-            if self.cfg.fr_fcfs && self.any_queued_hit(kind, &addr, open_row) {
-                continue;
-            }
-            if self.state.can_issue(Command::Pre, &addr, now) {
-                self.issue_cmd(Command::Pre, &addr, now);
-                self.stats.precharges += 1;
-                self.stats.row_conflicts += 1;
-                self.queue_mut(kind)[i].needed_act = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn queue(&self, kind: AccessKind) -> &VecDeque<Pending> {
-        match kind {
+        let q = match kind {
             AccessKind::Read => &self.read_q,
             AccessKind::Write => &self.write_q,
+        };
+        if q.is_empty() {
+            return;
         }
+
+        // One pass finds the first ready hit. On the way it notes the
+        // first request that may activate its closed bank and marks every
+        // bank whose open row a (not yet ready) hit still needs.
+        self.wanted_rows.fill(0);
+        let mut act = None;
+        for (i, p) in q.iter().enumerate() {
+            let a = &p.req.addr;
+            match self.state.open_row(a) {
+                Some(row) if row == a.row => {
+                    if self.state.can_issue(col_cmd, a, now) {
+                        let p = self.queue_mut(kind).remove(i).expect("index in range");
+                        self.issue_column(now, col_cmd, p);
+                        return;
+                    }
+                    let b = bank_index(self.state.organization(), a);
+                    self.wanted_rows[b / 64] |= 1 << (b % 64);
+                }
+                None if act.is_none()
+                    && !self.refresh_due(a.rank)
+                    && self.state.can_issue(Command::Act, a, now) =>
+                {
+                    act = Some(i);
+                }
+                _ => {}
+            }
+        }
+
+        let (cmd, i) = if let Some(i) = act {
+            (Command::Act, i)
+        } else {
+            let org = self.state.organization();
+            let pre = q.iter().position(|p| {
+                let a = &p.req.addr;
+                let b = bank_index(org, a);
+                matches!(self.state.open_row(a), Some(row) if row != a.row)
+                    && self.wanted_rows[b / 64] & (1 << (b % 64)) == 0
+                    && !self.refresh_due(a.rank)
+                    && self.state.can_issue(Command::Pre, a, now)
+            });
+            let Some(i) = pre else { return };
+            (Command::Pre, i)
+        };
+        let addr = q[i].req.addr;
+        self.issue_cmd(cmd, &addr, now);
+        if cmd == Command::Act {
+            self.stats.activates += 1;
+        } else {
+            self.stats.precharges += 1;
+            self.stats.row_conflicts += 1;
+        }
+        self.queue_mut(kind)[i].needed_act = true;
     }
 
     fn queue_mut(&mut self, kind: AccessKind) -> &mut VecDeque<Pending> {
@@ -461,17 +428,6 @@ impl MemController {
             AccessKind::Read => &mut self.read_q,
             AccessKind::Write => &mut self.write_q,
         }
-    }
-
-    /// Whether any request in the `kind` queue targets `open_row` in the
-    /// same bank as `addr` — if so the open row is still useful.
-    fn any_queued_hit(&self, kind: AccessKind, addr: &DramAddr, open_row: u64) -> bool {
-        let same_bank = |a: &DramAddr| {
-            a.rank == addr.rank && a.bank_group == addr.bank_group && a.bank == addr.bank
-        };
-        self.queue(kind)
-            .iter()
-            .any(|p| same_bank(&p.req.addr) && p.req.addr.row == open_row)
     }
 
     fn issue_column(&mut self, now: u64, cmd: Command, p: Pending) {
@@ -505,8 +461,12 @@ impl MemController {
             }
             _ => unreachable!(),
         }
-        let _ = p.arrival;
     }
+}
+
+/// Position of `addr`'s bank among the channel's banks.
+fn bank_index(org: &Organization, addr: &DramAddr) -> usize {
+    ((addr.rank * org.bank_groups + addr.bank_group) * org.banks + addr.bank) as usize
 }
 
 #[cfg(test)]
@@ -680,49 +640,40 @@ mod tests {
     }
 
     #[test]
-    fn fcfs_mode_is_slower_on_conflict_heavy_streams() {
-        // Alternating rows in one bank: FR-FCFS can reorder around
-        // conflicts (service the queued same-row request first), FCFS
-        // cannot.
+    fn precharge_spares_an_open_row_a_waiting_hit_wants() {
+        // Bank (0, 0, 0) is open at row 0, and a queued read to row 0 is
+        // held back by tCCD_L after a read to another bank of group 0. An
+        // older read wants row 1 of that bank, and a read conflicts in
+        // bank group 1, whose open row no request wants. Nothing can read
+        // or activate, so the one PRE must go to group 1.
         let org = Organization::ddr4_dimm(1, 1);
         let t = TimingParams::ddr4_2400();
-        let mk = |fr: bool| {
-            let cfg = ControllerConfig {
-                fr_fcfs: fr,
-                refresh: false,
-                ..ControllerConfig::default()
-            };
-            MemController::with_config(org, t, cfg)
+        let cfg = ControllerConfig {
+            refresh: false,
+            ..ControllerConfig::default()
         };
-        let pattern: Vec<DramAddr> = (0..64)
-            .map(|i| DramAddr {
-                row: (i % 2) as u64,
-                col: (i / 2) as u32,
-                ..DramAddr::default()
-            })
-            .collect();
-        let run = |mut c: MemController| {
-            for (i, a) in pattern.iter().enumerate() {
-                c.enqueue(MemRequest::read(
-                    i as u64,
-                    PhysAddr(0),
-                    *a,
-                    Default::default(),
-                ))
-                .unwrap();
-            }
-            let mut done = 0;
-            let mut cycles = 0u64;
-            while done < pattern.len() {
-                c.tick();
-                done += c.drain_completions().len();
-                cycles += 1;
-                assert!(cycles < 100_000);
-            }
-            cycles
+        let mut ctrl = MemController::with_config(org, t, cfg);
+        let at = |bank_group, bank, row| DramAddr {
+            bank_group,
+            bank,
+            row,
+            ..DramAddr::default()
         };
-        let fr = run(mk(true));
-        let fcfs = run(mk(false));
-        assert!(fr < fcfs, "FR-FCFS {fr} should beat FCFS {fcfs}");
+        let (kept, neighbour, other) = (at(0, 0, 0), at(0, 1, 0), at(1, 0, 5));
+        ctrl.state.issue(Command::Act, &kept, 0);
+        ctrl.state.issue(Command::Act, &neighbour, t.rrd_l);
+        ctrl.state.issue(Command::Act, &other, t.rrd_l + t.rrd_s);
+        let read_at = 100;
+        ctrl.state.issue(Command::Rd, &neighbour, read_at);
+        ctrl.clock = read_at + t.ccd_s;
+        assert!(!ctrl.state.can_issue(Command::Rd, &kept, ctrl.clock));
+        for (id, a) in [at(0, 0, 1), kept, at(1, 0, 7)].into_iter().enumerate() {
+            let req = MemRequest::read(id as u64, PhysAddr(0), a, Default::default());
+            ctrl.enqueue(req).unwrap();
+        }
+        ctrl.tick();
+        assert_eq!(ctrl.stats().precharges, 1);
+        assert_eq!(ctrl.channel_state().open_row(&kept), Some(0));
+        assert_eq!(ctrl.channel_state().open_row(&other), None);
     }
 }

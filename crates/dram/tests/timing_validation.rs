@@ -62,15 +62,28 @@ fn arb_request(org: Organization) -> impl Strategy<Value = MemRequest> {
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One controller geometry with up to 160 requests addressed inside it.
+fn arb_traffic(org: Organization) -> impl Strategy<Value = (Organization, Vec<MemRequest>)> {
+    (
+        Just(org),
+        proptest::collection::vec(arb_request(org), 1..160),
+    )
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The UPMEM channel's 128 banks span two words of the controller's
+    // per-bank bitset; the DDR4 channel's 32 fit in one.
     #[test]
     fn random_traffic_obeys_ddr4_timing(
-        reqs in proptest::collection::vec(arb_request(Organization::ddr4_dimm(1, 2)), 1..160),
+        traffic in prop_oneof![
+            arb_traffic(Organization::ddr4_dimm(1, 2)),
+            arb_traffic(Organization::upmem_dimm(1, 2)),
+        ],
         refresh in any::<bool>(),
     ) {
-        let org = Organization::ddr4_dimm(1, 2);
+        let (org, reqs) = traffic;
         let timing = TimingParams::ddr4_2400();
         let cfg = ControllerConfig { refresh, ..ControllerConfig::default() };
         let reqs: Vec<MemRequest> = reqs
@@ -85,26 +98,6 @@ proptest! {
         }
         let violations = validator.check();
         prop_assert!(violations.is_empty(), "violations: {:#?}", &violations[..violations.len().min(3)]);
-    }
-
-    #[test]
-    fn fcfs_traffic_also_obeys_timing(
-        reqs in proptest::collection::vec(arb_request(Organization::upmem_dimm(1, 2)), 1..100),
-    ) {
-        let org = Organization::upmem_dimm(1, 2);
-        let timing = TimingParams::ddr4_2400();
-        let cfg = ControllerConfig { fr_fcfs: false, ..ControllerConfig::default() };
-        let reqs: Vec<MemRequest> = reqs
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut r)| { r.id = i as u64; r })
-            .collect();
-        let ctrl = run_trace(org, timing, cfg, reqs);
-        let mut validator = TimingValidator::new(timing);
-        for c in ctrl.command_log().unwrap() {
-            validator.record(c.cmd, c.addr, c.cycle);
-        }
-        prop_assert!(validator.check().is_empty());
     }
 }
 

@@ -45,8 +45,8 @@ impl MlpCentric {
         }
     }
 
-    /// Build the MLP-centric bit layout *without* XOR hashing. Used by the
-    /// ablation benches to isolate the contribution of the hash.
+    /// Build the MLP-centric bit layout *without* XOR hashing, to isolate
+    /// the contribution of the hash.
     pub fn without_hash(org: Organization) -> Self {
         MlpCentric {
             layout: FieldLayout::mlp(&org),

@@ -1,7 +1,7 @@
 //! System configuration and the design-point ablation switch.
 
 use pim_cpu::CpuConfig;
-use pim_dram::{ControllerConfig, TimingParams};
+use pim_dram::TimingParams;
 use pim_energy::PowerParams;
 use pim_mapping::{HetMap, Organization};
 use pim_mmu::{DceConfig, DceMode, DriverModel};
@@ -152,11 +152,6 @@ impl SystemConfig {
         } else {
             HetMap::baseline_bios(self.dram_org, self.pim_org)
         }
-    }
-
-    /// Memory-controller policy (Table I: 64-entry queues, FR-FCFS).
-    pub fn controller_config(&self) -> ControllerConfig {
-        ControllerConfig::default()
     }
 }
 

@@ -125,12 +125,11 @@ impl System {
         } else {
             Vec::new()
         };
-        let ctrl_cfg = cfg.controller_config();
         let dram = (0..cfg.dram_org.channels)
-            .map(|_| MemController::with_config(cfg.dram_org, cfg.dram_timing, ctrl_cfg))
+            .map(|_| MemController::new(cfg.dram_org, cfg.dram_timing))
             .collect();
         let pim = (0..cfg.pim_org.channels)
-            .map(|_| MemController::with_config(cfg.pim_org, cfg.pim_timing, ctrl_cfg))
+            .map(|_| MemController::new(cfg.pim_org, cfg.pim_timing))
             .collect();
 
         let mut clocks = ClockDomains::new();

@@ -1,5 +1,5 @@
-//! PrIM-style PIM workload suite (the 16 memory-intensive workloads of
-//! the paper's Fig. 16) plus the data-transfer microbenchmarks of §V.
+//! PrIM-style PIM workload suite: the 16 memory-intensive workloads of
+//! the paper's Fig. 16.
 //!
 //! Every workload has a *functional* implementation — input generation,
 //! partitioning across DPUs, a per-DPU kernel executed on the host, a
@@ -22,7 +22,6 @@ pub mod bfs;
 pub mod bs;
 pub mod gemv;
 pub mod hst;
-pub mod microbench;
 pub mod mlp;
 pub mod nw;
 pub mod partition;
