@@ -1,6 +1,6 @@
-//! Extra design-choice ablations beyond the paper's D/H/P axis
-//! (DESIGN.md §5): DCE data-buffer capacity, the coarse-DMA pipeline
-//! depth, and XOR hashing inside the MLP-centric mapping.
+//! Extra design-choice ablations beyond the paper's D/H/P axis: DCE
+//! data-buffer capacity, the coarse-DMA pipeline depth, and XOR hashing
+//! inside the MLP-centric mapping.
 
 use pim_bench::cfg;
 use pim_mmu::XferKind;

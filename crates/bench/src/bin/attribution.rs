@@ -21,6 +21,7 @@
 //!     [--smoke|--full] [--seed S] [--out PATH] [--md PATH] [--trace PATH]
 //! ```
 
+use pim_bench::flag_val;
 use pim_bench::json::{parse, write_json, Json};
 use pim_bench::perfetto::{chrome_trace, validate_chrome_trace};
 use pim_bench::report::{report_json, report_markdown, RunSection};
@@ -55,13 +56,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     let horizon_ns = if argv.iter().any(|a| a == "--smoke") {
         80_000.0
     } else if argv.iter().any(|a| a == "--full") {
@@ -173,13 +167,11 @@ fn run_point(args: &Args, load: f64, policy: &str, preemption: Preemption) -> Po
         serving.runtime().records().len(),
         "every recorded job must be attributed"
     );
-    let preempt_name = match preemption {
-        Preemption::Off => "off",
-        Preemption::Quantum { .. } => "quantum",
-        _ => "kick",
-    };
     Point {
-        label: format!("load={load:.1} policy={policy} preempt={preempt_name}"),
+        label: format!(
+            "load={load:.1} policy={policy} preempt={}",
+            preemption.name()
+        ),
         serving,
         attribution,
     }

@@ -2,9 +2,10 @@
 //! workloads, baseline vs PIM-MMU.
 //!
 //! Transfer phases are simulated (the same engine as Fig. 15); PIM kernel
-//! time comes from the per-workload model standing in for the paper's
-//! real-hardware measurements (DESIGN.md §4). PIM-MMU does not change
-//! kernel time.
+//! time comes from the per-workload model in [`pim_workloads::PRIM_SUITE`],
+//! standing in for the paper's real-hardware measurements. PIM-MMU does
+//! not change kernel time. EXPERIMENTS.md records the measured numbers
+//! beside the paper's (section "Fig. 16").
 //!
 //! Paper shape: transfers average 63.7 % of end-to-end time (max 99.7 %);
 //! PIM-MMU cuts DRAM→PIM 3.3x / PIM→DRAM 3.8x, yielding a 2.2x average
@@ -13,7 +14,7 @@
 use pim_bench::{cfg, geomean, HarnessArgs};
 use pim_mmu::XferKind;
 use pim_sim::{run_batch, BatchPoint, DesignPoint, TransferSpec};
-use pim_workloads::prim_suite;
+use pim_workloads::PRIM_SUITE;
 use std::collections::HashMap;
 
 /// A unique simulation point: (bytes, is_dram_to_pim, is_pim_mmu).
@@ -91,15 +92,13 @@ fn main() {
     };
     // Gather every (bytes, direction, design) point of the suite, then
     // simulate the deduplicated set in parallel before printing.
-    let suite = prim_suite();
     sim.prefetch(
-        suite.iter().flat_map(|w| {
-            let p = w.profile();
+        PRIM_SUITE.iter().flat_map(|w| {
             [true, false].into_iter().flat_map(move |to_pim| {
                 let (bytes, kind) = if to_pim {
-                    (p.in_bytes, XferKind::DramToPim)
+                    (w.in_bytes, XferKind::DramToPim)
                 } else {
-                    (p.out_bytes, XferKind::PimToDram)
+                    (w.out_bytes, XferKind::PimToDram)
                 };
                 [DesignPoint::Baseline, DesignPoint::BaseDHP]
                     .into_iter()
@@ -128,13 +127,12 @@ fn main() {
     let mut xfer_fracs = Vec::new();
     let mut in_gains = Vec::new();
     let mut out_gains = Vec::new();
-    for w in suite {
-        let p = w.profile();
-        let kern = p.kernel_ms(512);
-        let b_in = sim.time_ms(p.in_bytes, XferKind::DramToPim, DesignPoint::Baseline);
-        let b_out = sim.time_ms(p.out_bytes, XferKind::PimToDram, DesignPoint::Baseline);
-        let m_in = sim.time_ms(p.in_bytes, XferKind::DramToPim, DesignPoint::BaseDHP);
-        let m_out = sim.time_ms(p.out_bytes, XferKind::PimToDram, DesignPoint::BaseDHP);
+    for w in &PRIM_SUITE {
+        let kern = w.kernel_ms(512);
+        let b_in = sim.time_ms(w.in_bytes, XferKind::DramToPim, DesignPoint::Baseline);
+        let b_out = sim.time_ms(w.out_bytes, XferKind::PimToDram, DesignPoint::Baseline);
+        let m_in = sim.time_ms(w.in_bytes, XferKind::DramToPim, DesignPoint::BaseDHP);
+        let m_out = sim.time_ms(w.out_bytes, XferKind::PimToDram, DesignPoint::BaseDHP);
         let b_total = b_in + kern + b_out;
         let m_total = m_in + kern + m_out;
         let speedup = b_total / m_total;
@@ -145,7 +143,7 @@ fn main() {
         out_gains.push(b_out / m_out);
         println!(
             "{:<10} {b_in:>7.1} {kern:>7.1} {b_out:>7.1} {b_total:>7.1} | {m_in:>7.1} {kern:>7.1} {m_out:>7.1} {m_total:>7.1} | {:>7.1}% {speedup:>6.2}x",
-            w.name(),
+            w.name,
             frac * 100.0
         );
     }

@@ -19,6 +19,7 @@
 //! in-flight ring depth; results land in `BENCH_hostq.json`
 //! (bit-identical across reruns of the same flags).
 
+use pim_bench::flag_val;
 use pim_bench::json::{write_json, Json};
 use pim_runtime::{
     policy_by_name, HostQueueConfig, Runtime, RuntimeConfig, ServingSystem, TenantSpec,
@@ -49,13 +50,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     let horizon_ns = if argv.iter().any(|a| a == "--smoke") {
         40_000.0
     } else if argv.iter().any(|a| a == "--full") {

@@ -27,6 +27,7 @@
 //! p99 here is computed exactly from the job records, not from the
 //! ≤2x log2 histogram buckets.
 
+use pim_bench::flag_val;
 use pim_bench::json::{write_json, Json};
 use pim_runtime::{
     policy_by_name, HostQueueConfig, Preemption, Runtime, RuntimeConfig, ServingSystem, TenantSpec,
@@ -62,13 +63,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     let horizon_ns = if argv.iter().any(|a| a == "--smoke") {
         60_000.0
     } else if argv.iter().any(|a| a == "--full") {

@@ -26,6 +26,7 @@
 //! Jain and as demand-normalized (satisfaction) Jain — the right
 //! measure under unequal demand.
 
+use pim_bench::flag_val;
 use pim_bench::json::{write_json, Json};
 use pim_runtime::{
     policy_by_name, HostQueueConfig, Placement, Runtime, RuntimeConfig, ServingSystem, TenantSpec,
@@ -55,13 +56,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     let horizon_ns = if argv.iter().any(|a| a == "--smoke") {
         30_000.0
     } else if argv.iter().any(|a| a == "--full") {

@@ -20,6 +20,7 @@
 //! pid 0 is the machine (one thread per DCE shard plus the sampled
 //! counter tracks), pids 1+ are the tenants.
 
+use pim_bench::flag_val;
 use pim_bench::json::{parse, write_json, Json};
 use pim_bench::perfetto::{chrome_trace, snapshot_json, validate_chrome_trace};
 use pim_runtime::{
@@ -50,13 +51,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     let horizon_ns = if argv.iter().any(|a| a == "--smoke") {
         60_000.0
     } else if argv.iter().any(|a| a == "--full") {

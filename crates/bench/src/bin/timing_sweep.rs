@@ -16,7 +16,7 @@
 //! `tests/timing_differential.rs`).
 
 use pim_bench::json::{write_json, Json};
-use pim_bench::SweepMeta;
+use pim_bench::{flag_val, SweepMeta};
 use pim_runtime::{Fcfs, Runtime, RuntimeConfig, ServingSystem, TenantSpec};
 use pim_sim::{DesignPoint, SystemConfig, TimingMode};
 
@@ -28,13 +28,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        argv.iter().position(|a| a == name).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
-    };
     Args {
         smoke: argv.iter().any(|a| a == "--smoke"),
         seed: flag_val("--seed")

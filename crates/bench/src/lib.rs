@@ -1,10 +1,9 @@
 //! Shared plumbing for the per-figure benchmark harness binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! PIM-MMU paper (see `DESIGN.md` §2 for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results). Run with
-//! `cargo run --release -p pim-bench --bin <experiment>`; pass `--full`
-//! for the paper-scale transfer sizes (slower).
+//! PIM-MMU paper (see `EXPERIMENTS.md` for recorded paper-vs-measured
+//! results). Run with `cargo run --release -p pim-bench --bin <experiment>`;
+//! pass `--full` for the paper-scale transfer sizes (slower).
 
 pub mod goldens;
 pub mod json;
@@ -59,11 +58,17 @@ impl HarnessArgs {
 }
 
 /// The value following a `--flag` on the command line, if present.
+///
+/// # Panics
+///
+/// Panics if the flag is the last argument, with no value after it.
 pub fn flag_val(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+    args.iter().position(|a| a == name).map(|i| {
+        args.get(i + 1)
+            .unwrap_or_else(|| panic!("{name} needs a value"))
+            .clone()
+    })
 }
 
 /// Table-I config with a given design point and a sampling interval that

@@ -4,24 +4,20 @@
 //! DIMM/chip/DPU topology (§II-C: eight chips per rank, eight DPUs per
 //! chip, one DPU per memory bank), byte-granularity chip interleaving and
 //! the 8×8 byte transpose the runtime must apply to host data (Fig. 3),
-//! per-DPU MRAM storage, a `dpu_prepare_xfer`/`dpu_push_xfer`-style host
-//! runtime, and kernel-time models standing in for wall-clock DPU
-//! execution (the paper measures kernels on real hardware; we have none —
-//! see DESIGN.md §4).
+//! per-DPU MRAM storage, and a `dpu_prepare_xfer`/`dpu_push_xfer`-style
+//! host runtime.
 //!
 //! Timing of DRAM↔PIM transfers is *not* modeled here: the cycle-level
 //! path lives in `pim-dram`/`pim-cpu`/`pim-mmu`; this crate guarantees the
 //! bytes end up in the right MRAM.
 
 pub mod device;
-pub mod kernel;
 pub mod mram;
 pub mod runtime;
 pub mod topology;
 pub mod transpose;
 
 pub use device::PimDevice;
-pub use kernel::{FixedKernelModel, KernelModel, LinearKernelModel};
 pub use mram::Mram;
 pub use runtime::{DpuSet, XferDirection};
 pub use topology::PimTopology;

@@ -108,11 +108,6 @@ impl HetMap {
         self.pim_bytes
     }
 
-    /// The organization of the DRAM partition.
-    pub fn dram_organization(&self) -> &Organization {
-        self.dram_loc.layout().organization()
-    }
-
     /// The organization of the PIM partition.
     pub fn pim_organization(&self) -> &Organization {
         self.pim_loc.layout().organization()
@@ -142,12 +137,6 @@ impl HetMap {
             DramSide::Mlp => &self.dram_mlp,
             DramSide::Locality => &self.dram_loc,
         }
-    }
-
-    /// The mapping function for the PIM partition (always locality-centric,
-    /// honoring the per-bank PIM address spaces).
-    pub fn pim_fn(&self) -> &LocalityCentric {
-        &self.pim_loc
     }
 
     /// Translate a physical address, dynamically selecting the per-space

@@ -5,7 +5,7 @@
 //! fixed seed replays the exact same trace — the property the serving
 //! benchmarks rely on for bit-identical reruns.
 
-use pim_workloads::JobShape;
+use pim_workloads::PRIM_SUITE;
 
 /// Deterministic xorshift64* PRNG (the same generator family the
 /// workspace's proptest stub and contender streams use).
@@ -238,11 +238,11 @@ pub enum JobSizer {
         /// Cores per job.
         n_cores: u32,
     },
-    /// Job sizes sampled from the PrIM suite's input-shape catalog
-    /// ([`pim_workloads::job_shapes`]), rescaled so the largest suite
+    /// Job sizes sampled from the PrIM suite's inputs
+    /// ([`pim_workloads::PRIM_SUITE`]), rescaled so the largest suite
     /// input maps to `cap_bytes`.
     Suite {
-        /// Total bytes the largest suite shape maps to.
+        /// Total bytes the largest suite input maps to.
         cap_bytes: u64,
         /// Cores per job.
         n_cores: u32,
@@ -258,7 +258,7 @@ impl JobSizer {
     }
 
     /// Sample `(per_core_bytes, n_cores)` for the next job.
-    pub fn sample(&self, rng: &mut Rng, shapes: &[JobShape], suite_max: u64) -> (u64, u32) {
+    pub fn sample(&self, rng: &mut Rng) -> (u64, u32) {
         match *self {
             JobSizer::Fixed {
                 per_core_bytes,
@@ -266,11 +266,8 @@ impl JobSizer {
             } => (per_core_bytes, n_cores),
             JobSizer::Suite { cap_bytes, n_cores } => {
                 // `below` returns a value < len, which fits usize.
-                let shape = shapes[usize::try_from(rng.below(shapes.len() as u64)).unwrap()];
-                (
-                    shape.scaled_per_core(suite_max, cap_bytes, n_cores),
-                    n_cores,
-                )
+                let w = PRIM_SUITE[usize::try_from(rng.below(PRIM_SUITE.len() as u64)).unwrap()];
+                (w.scaled_per_core(cap_bytes, n_cores), n_cores)
             }
         }
     }
@@ -372,20 +369,18 @@ mod tests {
 
     #[test]
     fn sizers_produce_valid_shapes() {
-        let shapes = pim_workloads::job_shapes();
-        let max = pim_workloads::max_in_bytes(&shapes);
         let mut rng = Rng::new(3);
         let fixed = JobSizer::Fixed {
             per_core_bytes: 4096,
             n_cores: 16,
         };
-        assert_eq!(fixed.sample(&mut rng, &shapes, max), (4096, 16));
+        assert_eq!(fixed.sample(&mut rng), (4096, 16));
         let suite = JobSizer::Suite {
             cap_bytes: 1 << 20,
             n_cores: 32,
         };
         for _ in 0..100 {
-            let (per_core, n) = suite.sample(&mut rng, &shapes, max);
+            let (per_core, n) = suite.sample(&mut rng);
             assert_eq!(n, 32);
             assert!(per_core >= 64 && per_core.is_multiple_of(64));
         }

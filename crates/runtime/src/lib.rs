@@ -7,8 +7,8 @@
 //! * **Tenants & traffic** — each [`TenantSpec`] couples an arrival
 //!   process ([`ArrivalProcess`]: seeded Poisson, bursty, closed-loop
 //!   feedback, or an explicit trace) with a job-size model
-//!   ([`JobSizer`]: fixed, or sampled from the PrIM suite's input-shape
-//!   catalog in [`pim_workloads::job_shapes`]).
+//!   ([`JobSizer`]: fixed, or sampled from the PrIM suite's inputs in
+//!   [`pim_workloads::PRIM_SUITE`]).
 //! * **QoS scheduling** — a pluggable [`QueuePolicy`]
 //!   ([`Fcfs`], [`Sjf`], [`Drr`], [`StrictPriority`]) picks which
 //!   tenant's head job receives the engine's next quantum. Jobs are

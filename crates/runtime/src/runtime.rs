@@ -42,7 +42,6 @@ use pim_sim::{
     ticks_to_ns, Clock, Output, StatsSnapshot, Tickable, HOST_BUFFER_BASE, TICKS_PER_NS,
 };
 use pim_telemetry::{FlightRecorder, SpanEvent, SpanKind, TelemetryConfig};
-use pim_workloads::JobShape;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Where a policy-picked chunk is placed in a sharded runtime (which
@@ -70,15 +69,6 @@ impl Placement {
         match self {
             Placement::HashPin => "hash-pin",
             Placement::LeastLoaded => "least-loaded",
-        }
-    }
-
-    /// Parse a CLI name (`hash-pin`, `least-loaded`).
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "hash-pin" => Some(Placement::HashPin),
-            "least-loaded" => Some(Placement::LeastLoaded),
-            _ => None,
         }
     }
 
@@ -126,17 +116,6 @@ impl Preemption {
             Preemption::Off => "off",
             Preemption::Quantum { .. } => "quantum",
             Preemption::PriorityKick => "kick",
-        }
-    }
-
-    /// Parse a CLI name (`off`, `quantum`, `kick`); `device_cycles`
-    /// parameterizes the quantum.
-    pub fn by_name(name: &str, device_cycles: u64) -> Option<Self> {
-        match name {
-            "off" => Some(Preemption::Off),
-            "quantum" => Some(Preemption::Quantum { device_cycles }),
-            "kick" => Some(Preemption::PriorityKick),
-            _ => None,
         }
     }
 
@@ -302,8 +281,6 @@ pub struct Runtime {
     cfg: RuntimeConfig,
     policy: Box<dyn QueuePolicy>,
     tenants: Vec<TenantState>,
-    shapes: Vec<JobShape>,
-    suite_max: u64,
     /// Decision-clock ticks taken and the tick period (in simulator
     /// ticks), kept identical to the registered clock domain so the
     /// internal notion of "now" matches the composer's edge times.
@@ -382,8 +359,6 @@ impl Runtime {
                 );
             }
         }
-        let shapes = pim_workloads::job_shapes();
-        let suite_max = pim_workloads::max_in_bytes(&shapes);
         let tenants = tenants
             .into_iter()
             .enumerate()
@@ -407,8 +382,6 @@ impl Runtime {
             cfg,
             policy,
             tenants,
-            shapes,
-            suite_max,
             ticks_taken: 0,
             arrivals_scratch: Vec::new(),
             qps: QueuePairSet::new(cfg.hostq, cfg.shards),
@@ -694,10 +667,7 @@ impl Runtime {
             for i in 0..self.arrivals_scratch.len() {
                 let at_ns = self.arrivals_scratch[i];
                 let t = &mut self.tenants[ti];
-                let (per_core_bytes, n_cores) =
-                    t.spec
-                        .sizer
-                        .sample(&mut t.size_rng, &self.shapes, self.suite_max);
+                let (per_core_bytes, n_cores) = t.spec.sizer.sample(&mut t.size_rng);
                 let spec = JobSpec {
                     kind: t.spec.kind,
                     per_core_bytes,

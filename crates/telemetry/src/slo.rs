@@ -72,12 +72,6 @@ impl SloConfig {
         self.slow_window_ns = slow_ns;
         self
     }
-
-    /// Builder: override the burn-rate breach threshold.
-    pub fn with_burn_threshold(mut self, burn: f64) -> Self {
-        self.burn_threshold = burn;
-        self
-    }
 }
 
 /// What objective a breach violated.
