@@ -10,8 +10,8 @@
 use crate::config::{DceConfig, DceMode};
 use crate::op::{OpError, PimMmuOp, XferKind};
 use crate::scheduler::{LinePair, PairScheduler};
-use pim_dram::{Completion, MemRequest, SourceId};
-use pim_mapping::{HetMap, MemSpace, PimAddrSpace, LINE_BYTES};
+use pim_dram::{Completion, MemRequest, OutRequest, SourceId};
+use pim_mapping::{HetMap, PimAddrSpace, LINE_BYTES};
 use pim_telemetry::{CounterSet, Counters, FlightRecorder, SpanEvent, SpanKind, SpanTap};
 use std::collections::{HashMap, VecDeque};
 
@@ -85,15 +85,6 @@ impl SuspendedTransfer {
     pub fn entries(&self) -> usize {
         self.sched.core_count()
     }
-}
-
-/// A memory request leaving the DCE, tagged with the target space.
-#[derive(Debug, Clone, Copy)]
-pub struct DceRequest {
-    /// DRAM or PIM controllers.
-    pub space: MemSpace,
-    /// The translated request.
-    pub req: MemRequest,
 }
 
 /// Counters exposed for the evaluation harness.
@@ -248,7 +239,7 @@ pub struct Dce {
     /// recalled chunk finds no match and falls back to a fresh build.
     held_cursor: Option<(u64, PairScheduler)>,
     next_seq: u64,
-    outbox: VecDeque<DceRequest>,
+    outbox: VecDeque<OutRequest>,
     outbox_cap: usize,
     next_id: u64,
     stats: DceStats,
@@ -351,6 +342,15 @@ impl Dce {
         self.clock
     }
 
+    /// The earliest cycle at or after [`cycle`](Self::cycle) at which a
+    /// tick does real work: the current cycle while a job is active or
+    /// a descriptor is pending (so memory completions always land on an
+    /// armed domain), else `None` — an empty engine sleeps until the
+    /// composer wakes it on enqueue, doorbell or resume.
+    pub fn next_event_cycle(&self) -> Option<u64> {
+        (self.busy() || self.pending_descriptors() > 0).then_some(self.clock)
+    }
+
     /// Catch up over `cycles` skipped engine cycles — exactly equivalent
     /// to that many [`tick`](Self::tick)s while the engine has no active
     /// job and an empty pending ring (an idle tick only advances the
@@ -360,7 +360,7 @@ impl Dce {
     }
 
     /// Requests awaiting entry into the memory subsystem.
-    pub fn outbox_mut(&mut self) -> &mut VecDeque<DceRequest> {
+    pub fn outbox_mut(&mut self) -> &mut VecDeque<OutRequest> {
         &mut self.outbox
     }
 
@@ -612,7 +612,7 @@ impl Dce {
             let spaced = self.mapper.map(p.dst);
             let id = self.next_id;
             self.next_id += 1;
-            self.outbox.push_back(DceRequest {
+            self.outbox.push_back(OutRequest {
                 space: spaced.space,
                 req: MemRequest::write(id, p.dst, spaced.addr, source),
             });
@@ -691,7 +691,7 @@ impl Dce {
                 let spaced = self.mapper.map(p.src);
                 let id = self.next_id;
                 self.next_id += 1;
-                self.outbox.push_back(DceRequest {
+                self.outbox.push_back(OutRequest {
                     space: spaced.space,
                     req: MemRequest::read(id, p.src, spaced.addr, source),
                 });
@@ -836,7 +836,7 @@ impl Dce {
 mod tests {
     use super::*;
     use pim_dram::AccessKind;
-    use pim_mapping::{Organization, PhysAddr};
+    use pim_mapping::{MemSpace, Organization, PhysAddr};
 
     fn setup() -> Dce {
         let dram = Organization::ddr4_dimm(4, 2);
@@ -856,7 +856,7 @@ mod tests {
         latency: u64,
         n: usize,
         suspend_at: Option<u64>,
-        mut issued: Option<&mut Vec<DceRequest>>,
+        mut issued: Option<&mut Vec<OutRequest>>,
     ) -> Vec<DceCompletion> {
         let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
         let mut recs = Vec::new();
@@ -1006,7 +1006,7 @@ mod tests {
         let mut issued = Vec::new();
         let recs = drive_until_records(&mut dce, 10, 1, None, Some(&mut issued));
         assert_eq!(recs.len(), 1);
-        let (reads, writes): (Vec<DceRequest>, Vec<DceRequest>) = issued
+        let (reads, writes): (Vec<OutRequest>, Vec<OutRequest>) = issued
             .into_iter()
             .partition(|r| r.req.kind == AccessKind::Read);
         assert!(reads.iter().all(|r| r.space == MemSpace::Dram));

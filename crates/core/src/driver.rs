@@ -17,7 +17,11 @@ pub struct DriverModel {
     pub submit_fixed_ns: f64,
     /// Additional MMIO descriptor-write cost per per-core entry, ns.
     pub submit_per_entry_ns: f64,
-    /// Interrupt delivery + process wake-up, ns.
+    /// Interrupt delivery + process wake-up, ns — independent of how
+    /// many ring completions the interrupt announces. A coalesced
+    /// interrupt (N completions, one wake-up) therefore costs the same
+    /// as an uncoalesced one; the saving is that it is paid once per
+    /// batch instead of once per descriptor.
     pub interrupt_ns: f64,
 }
 
@@ -32,7 +36,16 @@ impl DriverModel {
         }
     }
 
-    /// Software overhead before the DCE starts, ns.
+    /// Software overhead before the DCE starts, ns: one synchronous
+    /// `pim_mmu_transfer`, or one doorbell ring publishing a whole
+    /// *batch* of descriptors carrying `entries` per-core entries
+    /// between them.
+    ///
+    /// The fixed syscall + MMIO cost is paid once per ring regardless of
+    /// how many descriptors the batch holds — this is the amortization
+    /// an NVMe-style submission queue buys over per-descriptor
+    /// `pim_mmu_transfer` calls, where every descriptor pays
+    /// [`submit_fixed_ns`](Self::submit_fixed_ns) again.
     pub fn submit_ns(&self, entries: usize) -> f64 {
         self.submit_fixed_ns + self.submit_per_entry_ns * entries as f64
     }
@@ -40,21 +53,6 @@ impl DriverModel {
     /// Total software overhead around a transfer, ns.
     pub fn round_trip_ns(&self, entries: usize) -> f64 {
         self.submit_ns(entries) + self.interrupt_ns
-    }
-
-    /// Cost of one doorbell ring publishing a whole *batch* of
-    /// descriptors carrying `total_entries` per-core entries between
-    /// them, ns.
-    ///
-    /// The fixed syscall + MMIO cost is paid once per ring regardless of
-    /// how many descriptors the batch holds — this is the amortization
-    /// an NVMe-style submission queue buys over per-descriptor
-    /// `pim_mmu_transfer` calls, where every descriptor pays
-    /// [`submit_fixed_ns`](Self::submit_fixed_ns) again. A
-    /// single-descriptor batch costs exactly
-    /// [`submit_ns`](Self::submit_ns).
-    pub fn doorbell_ns(&self, total_entries: usize) -> f64 {
-        self.submit_fixed_ns + self.submit_per_entry_ns * total_entries as f64
     }
 
     /// Driver-cost weight, in per-core-entry units, of a descriptor
@@ -65,7 +63,7 @@ impl DriverModel {
     /// (floored at a single word). This is the same shape as a resume's
     /// context reload — priced off the core count — but cheaper,
     /// because no cursor state crosses the bus: the cursor never left
-    /// the device. The result feeds [`doorbell_ns`](Self::doorbell_ns)
+    /// the device. The result feeds [`submit_ns`](Self::submit_ns)
     /// / [`round_trip_ns`](Self::round_trip_ns) in place of the full
     /// entry count.
     pub fn continuation_entries(&self, cores: usize) -> usize {
@@ -79,19 +77,10 @@ impl DriverModel {
     /// ([`continuation_entries`](Self::continuation_entries) per
     /// descriptor) plus the tail-register poke, priced as one more
     /// entry. The fixed syscall + descriptor-marshalling share of
-    /// [`doorbell_ns`](Self::doorbell_ns) does not apply; a batch with
+    /// [`submit_ns`](Self::submit_ns) does not apply; a batch with
     /// even one ordinary descriptor pays the full fixed cost.
     pub fn continuation_doorbell_ns(&self, total_entries: usize) -> f64 {
         self.submit_per_entry_ns * (total_entries as f64 + 1.0)
-    }
-
-    /// Cost of fielding one completion interrupt, ns — independent of
-    /// how many ring completions it announces. A coalesced interrupt
-    /// (N completions, one wake-up) therefore costs the same as an
-    /// uncoalesced one; the saving is that it is paid once per batch
-    /// instead of once per descriptor.
-    pub fn coalesced_interrupt_ns(&self) -> f64 {
-        self.interrupt_ns
     }
 }
 
@@ -123,19 +112,15 @@ mod tests {
     #[test]
     fn doorbell_batch_amortizes_the_fixed_cost() {
         let d = DriverModel::default();
-        // A single-descriptor ring is exactly a synchronous submit.
-        assert_eq!(d.doorbell_ns(64), d.submit_ns(64));
         // A batch of 8 descriptors x 64 entries pays the fixed cost once
         // instead of 8 times.
-        let batched = d.doorbell_ns(8 * 64);
+        let batched = d.submit_ns(8 * 64);
         let serial = 8.0 * d.submit_ns(64);
         assert_eq!(
             batched,
             d.submit_fixed_ns + 8.0 * 64.0 * d.submit_per_entry_ns
         );
         assert!(serial - batched == 7.0 * d.submit_fixed_ns);
-        // One coalesced interrupt costs a single wake-up.
-        assert_eq!(d.coalesced_interrupt_ns(), d.interrupt_ns);
     }
 
     #[test]
@@ -148,7 +133,7 @@ mod tests {
         assert_eq!(d.continuation_entries(64), 1);
         assert_eq!(d.continuation_entries(65), 2);
         assert_eq!(d.continuation_entries(1), 1);
-        assert!(d.doorbell_ns(d.continuation_entries(512)) < d.doorbell_ns(512));
+        assert!(d.submit_ns(d.continuation_entries(512)) < d.submit_ns(512));
     }
 
     #[test]
@@ -159,6 +144,6 @@ mod tests {
         // cheaper than the marshalling path for the same entry count.
         assert_eq!(d.continuation_doorbell_ns(8), d.submit_per_entry_ns * 9.0);
         assert!(d.continuation_doorbell_ns(0) > 0.0);
-        assert!(d.continuation_doorbell_ns(64) < d.doorbell_ns(64));
+        assert!(d.continuation_doorbell_ns(64) < d.submit_ns(64));
     }
 }

@@ -5,22 +5,12 @@ use crate::core::{Core, MemOutcome, MemPort};
 use crate::llc::Llc;
 use crate::os::OsScheduler;
 use crate::trace::{Thread, ThreadKind};
-use pim_dram::{AccessKind, Completion, MemRequest, SourceId};
+use pim_dram::{AccessKind, Completion, MemRequest, OutRequest, SourceId};
 use pim_mapping::{HetMap, MemSpace, PhysAddr};
 use std::collections::{HashMap, VecDeque};
 
 /// Source id used for LLC writeback traffic (no owning core).
 pub const WRITEBACK_SOURCE: u32 = u32::MAX;
-
-/// A memory request leaving the CPU cluster, tagged with the memory space
-/// (DRAM vs PIM DIMMs) whose controllers must service it.
-#[derive(Debug, Clone, Copy)]
-pub struct OutRequest {
-    /// Which controller group services it.
-    pub space: MemSpace,
-    /// The request (addresses already translated by the HetMap).
-    pub req: MemRequest,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -222,6 +212,14 @@ impl CpuCluster {
         self.threads.iter().all(|t| t.finished)
             && self.mem.outbox.is_empty()
             && self.mem.inflight.is_empty()
+    }
+
+    /// The earliest cycle at or after [`clock`](Self::clock) at which a
+    /// tick does real work: the current cycle until the cluster is
+    /// [`quiescent`](Self::quiescent), then `None` for good (threads
+    /// cannot start mid-run, so a quiescent cluster stays quiescent).
+    pub fn next_event_cycle(&self) -> Option<u64> {
+        (!self.quiescent()).then_some(self.clock)
     }
 
     /// Catch up over `cycles` skipped cycles — exactly equivalent to

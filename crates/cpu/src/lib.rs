@@ -17,7 +17,7 @@
 //! * [`OsScheduler`] — round-robin thread scheduling with the paper's
 //!   1.5 ms quantum.
 //! * [`CpuCluster`] — the 8-core cluster gluing it all together and
-//!   exchanging [`OutRequest`]s with the memory system.
+//!   exchanging [`pim_dram::OutRequest`]s with the memory system.
 
 pub mod cluster;
 pub mod config;
@@ -27,7 +27,7 @@ pub mod os;
 pub mod streams;
 pub mod trace;
 
-pub use cluster::{ClusterStats, CpuCluster, OutRequest};
+pub use cluster::{ClusterStats, CpuCluster};
 pub use config::CpuConfig;
 pub use core::Core;
 pub use llc::Llc;

@@ -99,12 +99,6 @@ impl PimTopology {
     pub fn dpu_id(&self, channel: u32, rank: u32, chip: u32, within: u32) -> u32 {
         ((channel * self.ranks + rank) * self.chips_per_rank + chip) * self.dpus_per_chip + within
     }
-
-    /// Peak per-DPU host↔MRAM bandwidth in GB/s. UPMEM quotes ~1 GB/s per
-    /// DPU, aggregating beyond 1 TB/s on a fully populated server (§II-C).
-    pub fn per_dpu_bandwidth_gbps(&self) -> f64 {
-        1.0
-    }
 }
 
 impl Default for PimTopology {

@@ -1,6 +1,6 @@
 //! Memory request and completion types exchanged with the controllers.
 
-use pim_mapping::{DramAddr, PhysAddr};
+use pim_mapping::{DramAddr, MemSpace, PhysAddr};
 use serde::{Deserialize, Serialize};
 
 /// Read or write.
@@ -57,6 +57,18 @@ impl MemRequest {
             source,
         }
     }
+}
+
+/// A request waiting in a source's outbox (the CPU cluster's or a
+/// DCE's), tagged with the memory space whose controllers must service
+/// it. The system layer pops outboxes front-first as the target
+/// controller queues accept.
+#[derive(Debug, Clone, Copy)]
+pub struct OutRequest {
+    /// Which controller group services it.
+    pub space: MemSpace,
+    /// The request, already address-translated.
+    pub req: MemRequest,
 }
 
 /// Completion record handed back by the controller.

@@ -101,24 +101,6 @@ impl ChannelStats {
         self.bytes_read_at_last_window = br;
         self.bytes_written_at_last_window = bw;
     }
-
-    /// Average read-queue occupancy.
-    pub fn avg_read_q(&self) -> f64 {
-        if self.elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.read_q_occupancy_sum as f64 / self.elapsed_cycles as f64
-        }
-    }
-
-    /// Average write-queue occupancy.
-    pub fn avg_write_q(&self) -> f64 {
-        if self.elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.write_q_occupancy_sum as f64 / self.elapsed_cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,19 +18,19 @@
 //!   whichever comes first;
 //! * a **[`HostQueueConfig`]** whose identity point (depth 1,
 //!   coalescing off) degenerates bit-for-bit to the synchronous
-//!   handshake — the regression anchor for everything built on top;
-//! * a **[`QueuePairSet`]** — one queue pair per engine shard of a
-//!   multi-DCE system, each with its own doorbell path and interrupt
-//!   vector, so per-shard driver costs overlap instead of serializing
-//!   through one ring.
+//!   handshake — the regression anchor for everything built on top.
+//!
+//! A multi-DCE system gives every engine shard a queue pair of its own,
+//! each with its own doorbell path and interrupt vector, so per-shard
+//! driver costs overlap instead of serializing through one ring.
 //!
 //! The device side lives in `pim-mmu`: [`Dce::enqueue`] gives the
 //! engine its own pending-descriptor queue so it transitions directly
 //! from one chunk to the next, surfacing retirements as
 //! [`DceCompletion`] records for the ring poller. `pim-runtime`'s
-//! dispatch loop posts chunks through the queue pair, and
-//! `pim_sim::components` adapts the pair as a `Tickable` ring-poller
-//! clock domain.
+//! dispatch loop posts chunks through the queue pairs, and its serving
+//! composer counts each pair's poll edges
+//! ([`QueuePair::tick_poll`]) on a ring-poller clock domain.
 //!
 //! [`Dce::enqueue`]: pim_mmu::Dce::enqueue
 //! [`DceCompletion`]: pim_mmu::dce::DceCompletion
@@ -45,18 +45,16 @@
 //! qp.stage(d, 0.0, 0).unwrap();
 //! // One MMIO write publishes both descriptors.
 //! let cost = qp.ring_doorbell(&DriverModel::default()).unwrap();
-//! assert_eq!(cost, DriverModel::default().doorbell_ns(128));
+//! assert_eq!(cost, DriverModel::default().submit_ns(128));
 //! assert_eq!(qp.in_flight(), 2);
 //! ```
 
 pub mod coalesce;
 pub mod config;
 pub mod queue;
-pub mod set;
 
 pub use coalesce::{FireCause, InterruptCoalescer};
 pub use config::HostQueueConfig;
 pub use queue::{
     Descriptor, DescriptorTag, HostQError, HostQueueStats, Posted, QueuePair, RingCompletion,
 };
-pub use set::QueuePairSet;

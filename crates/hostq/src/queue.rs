@@ -181,7 +181,7 @@ impl Counters for HostQueueStats {
 
 impl HostQueueStats {
     /// Field-wise accumulate `other` into `self` (aggregating the rings
-    /// of a sharded [`QueuePairSet`](crate::QueuePairSet);
+    /// of a sharded host interface, one queue pair per engine shard;
     /// `max_in_flight` takes the max, everything else sums — so the
     /// aggregate `mean_in_flight` is the doorbell-weighted mean across
     /// shards).
@@ -344,7 +344,7 @@ impl QueuePair {
         Some(if all_continuations {
             driver.continuation_doorbell_ns(total_entries)
         } else {
-            driver.doorbell_ns(total_entries)
+            driver.submit_ns(total_entries)
         })
     }
 
@@ -490,7 +490,8 @@ impl QueuePair {
     }
 
     /// One edge of the host-side ring poller's clock domain (the
-    /// `Tickable` adapter in `pim_sim::components` calls this).
+    /// serving composer calls this at each poll edge, before it drains
+    /// the shard's retirements).
     pub fn tick_poll(&mut self) {
         self.stats.polls += 1;
     }
@@ -619,11 +620,11 @@ mod tests {
         qp.stage(desc(64).continuation_of(1), 0.0, 0).unwrap();
         let cost = qp.ring_doorbell(&driver).unwrap();
         assert_eq!(cost, driver.continuation_doorbell_ns(8));
-        assert!(cost < driver.doorbell_ns(8));
+        assert!(cost < driver.submit_ns(8));
         // One ordinary descriptor in the batch restores full pricing.
         qp.stage(desc(64).continuation_of(2), 1.0, 10).unwrap();
         qp.stage(desc(64), 1.0, 10).unwrap();
-        assert_eq!(qp.ring_doorbell(&driver).unwrap(), driver.doorbell_ns(8));
+        assert_eq!(qp.ring_doorbell(&driver).unwrap(), driver.submit_ns(8));
     }
 
     #[test]
@@ -634,7 +635,7 @@ mod tests {
         qp.stage(desc(64), 0.0, 0).unwrap();
         assert_eq!(qp.stage(desc(64), 0.0, 0), Err(HostQError::RingFull));
         let cost = qp.ring_doorbell(&DriverModel::default()).unwrap();
-        assert_eq!(cost, DriverModel::default().doorbell_ns(8));
+        assert_eq!(cost, DriverModel::default().submit_ns(8));
         // Still full: the device has both and nothing was fielded.
         assert_eq!(qp.stage(desc(64), 1.0, 3), Err(HostQError::RingFull));
         qp.on_device_completion(0, 0, 100, 31.25, 64, false);
@@ -728,5 +729,55 @@ mod tests {
         assert_eq!(qp.stats().fired_on_count, 1);
         assert!((qp.stats().interrupts_per_completion() - 1.0 / 3.0).abs() < 1e-12);
         assert!(qp.is_idle());
+    }
+
+    #[test]
+    fn poll_edges_are_counted_ticked_or_skipped() {
+        let mut qp = QueuePair::new(HostQueueConfig::synchronous());
+        for _ in 0..5 {
+            qp.tick_poll();
+        }
+        assert_eq!(qp.stats().polls, 5);
+        qp.skip_polls(7);
+        assert_eq!(qp.stats().polls, 12);
+        // Poll edges move no ring state.
+        assert!(qp.is_idle());
+        assert_eq!(qp.stats().doorbells + qp.stats().interrupts, 0);
+    }
+
+    #[test]
+    fn merged_stats_sum_and_max() {
+        let mut a = HostQueueStats {
+            posted: 3,
+            doorbells: 2,
+            completed: 3,
+            interrupts: 1,
+            fired_on_count: 1,
+            fired_on_timer: 0,
+            recalled: 0,
+            chain_silent: 0,
+            max_in_flight: 2,
+            inflight_sum: 4,
+            polls: 10,
+        };
+        let b = HostQueueStats {
+            posted: 1,
+            doorbells: 1,
+            completed: 1,
+            interrupts: 1,
+            fired_on_count: 0,
+            fired_on_timer: 1,
+            recalled: 1,
+            chain_silent: 0,
+            max_in_flight: 5,
+            inflight_sum: 5,
+            polls: 10,
+        };
+        a.merge(&b);
+        assert_eq!(a.posted, 4);
+        assert_eq!(a.doorbells, 3);
+        assert_eq!(a.max_in_flight, 5);
+        assert_eq!(a.mean_in_flight(), 3.0);
+        assert_eq!(a.polls, 20);
     }
 }

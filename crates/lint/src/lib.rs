@@ -17,7 +17,6 @@
 //! | `wall-clock` | everywhere except the self-profiler (`sim/src/system.rs`, `runtime/src/serving.rs`) and `crates/bench` | `Instant::now()` / `SystemTime::now()` — host time must never leak into simulated time |
 //! | `truncating-cast` | `crates/{sim,core,hostq,runtime}/src` | bare `as u8/u16/u32/i8/i16/i32` between integer widths — use `try_from` or a widening cast |
 //! | `no-f32` | `crates/{sim,core,hostq,runtime,telemetry}/src` | any `f32` — all model arithmetic is `f64`; mixing widths changes rounding between platforms |
-//! | `tickable-skip` | all `crates/*/src` | a `Tickable` impl that overrides `fn next_event` without also overriding `fn skip` (the idle-skip fast path would silently drop the component's catch-up work) |
 //! | `bench-smoke` | workspace | a `crates/bench` bin that commits a `BENCH_*.json` artifact but lacks `--smoke` support or a `--smoke` CI step in `.github/workflows/ci.yml` |
 //!
 //! ## Allowlist
@@ -54,7 +53,6 @@ pub const RULES: &[&str] = &[
     "wall-clock",
     "truncating-cast",
     "no-f32",
-    "tickable-skip",
     "bench-smoke",
 ];
 
@@ -300,55 +298,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Violation> {
         }
     }
 
-    // Structural rule: a `Tickable` impl overriding `next_event` must
-    // also override `skip`, or idle-skip silently drops its catch-up.
-    for (i, line) in lines.iter().enumerate() {
-        let code = code_of(line);
-        if !(code.contains("impl") && code.contains("Tickable for")) {
-            continue;
-        }
-        let Some(body) = impl_body(&lines, i) else {
-            continue;
-        };
-        if body.contains("fn next_event")
-            && !body.contains("fn skip")
-            && !allow.allows(i, "tickable-skip")
-        {
-            push(i + 1, "tickable-skip", "Tickable impl overrides `next_event` but not `skip`: under idle-skip the engine jumps this component past its horizon without telling it, losing the skipped cycles".into());
-        }
-    }
-
     out
-}
-
-/// The text of the brace-balanced block opened at or after `lines[start]`.
-fn impl_body(lines: &[&str], start: usize) -> Option<String> {
-    let mut depth = 0usize;
-    let mut opened = false;
-    let mut body = String::new();
-    for line in &lines[start..] {
-        let code = code_of(line);
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    if opened && depth == 0 {
-                        return Some(body);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if opened {
-            body.push_str(code);
-            body.push('\n');
-        }
-    }
-    None
 }
 
 /// Directories the workspace walk never descends into.

@@ -69,16 +69,6 @@ fn no_f32_fixture_trips() {
 }
 
 #[test]
-fn tickable_skip_fixture_trips_once() {
-    let vs = lint_source(
-        "crates/device/src/fixture.rs",
-        include_str!("fixtures/tickable_skip.rs"),
-    );
-    assert_eq!(rules_of(&vs), vec!["tickable-skip"], "{vs:?}");
-    assert_eq!(vs[0].line, 9, "only the skip-less impl trips");
-}
-
-#[test]
 fn justified_allows_silence_their_rule() {
     let vs = lint_source(
         "crates/core/src/fixture.rs",
@@ -146,7 +136,6 @@ fn rule_table_is_stable() {
             "wall-clock",
             "truncating-cast",
             "no-f32",
-            "tickable-skip",
             "bench-smoke"
         ]
     );

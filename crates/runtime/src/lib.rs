@@ -23,8 +23,8 @@
 //!   keep the DCE fed across chunk boundaries via
 //!   [`pim_mmu::Dce::enqueue`].
 //! * **Multi-DCE sharding** — the runtime dispatches across an array
-//!   of engines (one queue pair + driver context per shard via
-//!   [`pim_hostq::QueuePairSet`]) under a pluggable [`Placement`]:
+//!   of engines (one [`QueuePair`] + driver context per shard, see
+//!   [`Runtime::queue_pairs`]) under a pluggable [`Placement`]:
 //!   hash-pin (tenant → shard; per-tenant queue pairs) or least-loaded
 //!   work-stealing (each picked chunk goes to the shallowest eligible
 //!   ring). One shard is the single-engine runtime, bit for bit.
@@ -36,8 +36,10 @@
 //!   achieved bandwidth, and the Jain fairness index ([`jain_index`]).
 //!
 //! [`ServingSystem`] composes a [`Runtime`] with the simulated machine:
-//! the runtime registers its own clock domain and participates as a
-//! [`pim_sim::Tickable`].
+//! it registers the runtime's decision clock and the ring pollers as
+//! clock domains of the machine's scheduler and calls
+//! [`Runtime::tick`], [`Runtime::skip`] and
+//! [`QueuePair::tick_poll`] at their edges.
 //!
 //! ```
 //! use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig,
@@ -81,15 +83,10 @@ pub use policy::{
 pub use runtime::{Placement, Preemption, Runtime, RuntimeConfig, TenantSpec};
 pub use serving::ServingSystem;
 
-// The engine trait the runtime participates through, re-exported so
-// downstream drivers (tests, harnesses) can tick a [`Runtime`] without
-// naming `pim_sim` directly.
-pub use pim_sim::Tickable;
-
 // The host submission path the dispatch loop posts chunks through,
 // re-exported so harnesses can configure ring depth and interrupt
 // coalescing without naming `pim_hostq` directly.
-pub use pim_hostq::{HostQueueConfig, HostQueueStats, QueuePair, QueuePairSet};
+pub use pim_hostq::{HostQueueConfig, HostQueueStats, QueuePair};
 
 // The observability vocabulary ([`RuntimeConfig::telemetry`], the
 // flight recorder behind [`Runtime::recorder`], the unified counter

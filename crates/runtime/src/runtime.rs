@@ -5,8 +5,8 @@
 //! routing ring retirements back to the owning tenant through the
 //! driver latency model.
 //!
-//! The runtime is a [`Tickable`]: [`tick`](Tickable::tick) advances its
-//! decision clock and drains due arrivals into the queues. Interaction
+//! [`tick`](Runtime::tick) advances the runtime's decision clock and
+//! drains due arrivals into the queues. Interaction
 //! with the engine happens through two host-interface paths the
 //! composer (see [`crate::serving`]) calls at the corresponding clock
 //! edges, always *before* the engine's own tick:
@@ -35,12 +35,10 @@ use crate::arrival::{ArrivalGen, ArrivalProcess, JobSizer, Rng};
 use crate::job::{ChunkAnchor, Job, JobRecord, JobSpec};
 use crate::metrics::{jain_index, jain_satisfaction, HostIfaceStats, TenantStats};
 use crate::policy::{HeadView, QueuePolicy, QueueView};
-use pim_hostq::{Descriptor, DescriptorTag, HostQueueConfig, QueuePairSet};
+use pim_hostq::{Descriptor, DescriptorTag, HostQueueConfig, HostQueueStats, QueuePair};
 use pim_mapping::{PhysAddr, PimAddrSpace};
 use pim_mmu::{Dce, DceMode, DriverModel, PimMmuOp, SuspendedTransfer, XferKind};
-use pim_sim::{
-    ticks_to_ns, Clock, Output, StatsSnapshot, Tickable, HOST_BUFFER_BASE, TICKS_PER_NS,
-};
+use pim_sim::{ticks_to_ns, Clock, HOST_BUFFER_BASE, TICKS_PER_NS};
 use pim_telemetry::{FlightRecorder, SpanEvent, SpanKind, TelemetryConfig};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -288,8 +286,10 @@ pub struct Runtime {
     period_ticks: u64,
     arrivals_scratch: Vec<f64>,
     /// The doorbell/queue-pair host interface all chunks go through:
-    /// one ring + coalescer per engine shard.
-    qps: QueuePairSet,
+    /// one ring + coalescer per engine shard, in shard order. Shards are
+    /// independent rings, each with its own doorbell path and interrupt
+    /// vector, like an NVMe device exposing one queue pair per core.
+    qps: Vec<QueuePair>,
     /// Per-shard driver context: shard `s`'s next doorbell cannot ring
     /// before `driver_ready_ns[s]` (its driver is busy with an earlier
     /// MMIO write or interrupt). Shards' drivers are independent — their
@@ -384,7 +384,7 @@ impl Runtime {
             tenants,
             ticks_taken: 0,
             arrivals_scratch: Vec::new(),
-            qps: QueuePairSet::new(cfg.hostq, cfg.shards),
+            qps: (0..cfg.shards).map(|_| QueuePair::new(cfg.hostq)).collect(),
             driver_ready_ns: vec![0.0; cfg.shards],
             completed_via_shard: vec![0; cfg.shards],
             suspended: BTreeMap::new(),
@@ -418,6 +418,23 @@ impl Runtime {
     /// Current decision-clock time in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         ticks_to_ns(self.ticks_taken.saturating_sub(1) * self.period_ticks)
+    }
+
+    /// One edge of the decision clock: advance it and drain the
+    /// arrivals due by then into the tenant queues.
+    pub fn tick(&mut self) {
+        self.ticks_taken += 1;
+        let now_ns = self.now_ns();
+        self.enqueue_arrivals(now_ns);
+    }
+
+    /// Catch up over `edges` slept decision-clock edges. The composer
+    /// sleeps the domain only while every such edge falls strictly
+    /// before the next arrival (it wakes at the first edge whose time
+    /// reaches it), so the arrival drain at each would have found
+    /// nothing.
+    pub fn skip(&mut self, edges: u64) {
+        self.ticks_taken += edges;
     }
 
     /// Completion records so far (submission-ordered ids, completion-
@@ -537,7 +554,13 @@ impl Runtime {
     /// off ring waiters, so a non-idle ring must keep polling every edge
     /// even with an empty backlog.
     pub fn host_quiescent(&self) -> bool {
-        self.backlog() == 0 && self.suspended.is_empty() && self.qps.is_idle()
+        self.backlog() == 0 && self.suspended.is_empty() && self.rings_idle()
+    }
+
+    /// Whether every shard's rings are idle (nothing staged, in flight,
+    /// or awaiting an interrupt anywhere).
+    fn rings_idle(&self) -> bool {
+        self.qps.iter().all(QueuePair::is_idle)
     }
 
     /// Whether the host is *stalled on the driver*: jobs are queued but
@@ -563,7 +586,7 @@ impl Runtime {
     /// [`Placement::LeastLoaded`] any shard can steal any tenant's
     /// head, so every shard is eligible.
     pub fn driver_stall_ns(&self, now_ns: f64) -> Option<f64> {
-        if self.backlog() == 0 || !self.suspended.is_empty() || !self.qps.is_idle() {
+        if self.backlog() == 0 || !self.suspended.is_empty() || !self.rings_idle() {
             return None;
         }
         let eligible = |s: usize| match self.cfg.placement {
@@ -598,22 +621,34 @@ impl Runtime {
     /// generator is exhausted, every queue empty, and no shard's ring
     /// holds a staged, in-flight, or unfielded descriptor.
     pub fn drained(&self) -> bool {
-        self.qps.is_idle()
+        self.rings_idle()
             && self
                 .tenants
                 .iter()
                 .all(|t| t.queue.is_empty() && t.gen.exhausted(self.cfg.open_until_ns))
     }
 
-    /// The per-shard host-side queue pairs (ring state and counters).
-    pub fn queue_pairs(&self) -> &QueuePairSet {
+    /// The host-side queue pairs, one per shard in shard order (ring
+    /// state and counters).
+    pub fn queue_pairs(&self) -> &[QueuePair] {
         &self.qps
     }
 
-    /// Mutable queue-pair access — the composer ticks each shard's pair
-    /// as the ring poller's [`Tickable`] clock domain.
-    pub fn queue_pairs_mut(&mut self) -> &mut QueuePairSet {
+    /// Mutable queue-pair access — the composer counts each shard's
+    /// poll edges ([`QueuePair::tick_poll`]) on the ring poller's clock
+    /// domain.
+    pub fn queue_pairs_mut(&mut self) -> &mut [QueuePair] {
         &mut self.qps
+    }
+
+    /// Ring counters summed across every shard (see
+    /// [`HostQueueStats::merge`]).
+    pub fn ring_stats(&self) -> HostQueueStats {
+        let mut total = HostQueueStats::default();
+        for qp in &self.qps {
+            total.merge(qp.stats());
+        }
+        total
     }
 
     /// The shard tenant `t` is pinned to under
@@ -643,7 +678,7 @@ impl Runtime {
     /// job/chunk.
     pub fn host_stats(&self) -> HostIfaceStats {
         let jobs: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
-        HostIfaceStats::from_ring(&self.qps.aggregate_stats(), jobs)
+        HostIfaceStats::from_ring(&self.ring_stats(), jobs)
     }
 
     /// Per-shard host-interface summaries, in shard order; each shard's
@@ -651,10 +686,9 @@ impl Runtime {
     /// it delivered.
     pub fn shard_host_stats(&self) -> Vec<HostIfaceStats> {
         self.qps
-            .shard_stats()
             .iter()
             .zip(&self.completed_via_shard)
-            .map(|(s, &jobs)| HostIfaceStats::from_ring(s, jobs))
+            .map(|(qp, &jobs)| HostIfaceStats::from_ring(qp.stats(), jobs))
             .collect()
     }
 
@@ -787,7 +821,7 @@ impl Runtime {
                     .expect("a resumable record parks its suspended state");
                 self.suspended.insert((shard, rec.seq), st);
             }
-            self.qps.shard_mut(shard).on_device_completion(
+            self.qps[shard].on_device_completion(
                 rec.seq,
                 rec.started_at,
                 rec.completed_at,
@@ -803,11 +837,11 @@ impl Runtime {
         // driver going busy, which is what keeps a deep ring of chained
         // small chunks fed at engine rate.
         let period_ps = dce.config().period_ps();
-        for c in self.qps.shard_mut(shard).reap_chained() {
+        for c in self.qps[shard].reap_chained() {
             self.settle_completion(shard, period_ps, c, now_ns, now_ns);
         }
 
-        let qp = self.qps.shard_mut(shard);
+        let qp = &mut self.qps[shard];
         if !qp.interrupt_due(now_ns) {
             return;
         }
@@ -820,10 +854,10 @@ impl Runtime {
         // delta test in `tests/driver_accounting.rs` pins).
         let batch = qp.field_interrupt(now_ns);
         self.driver_ready_ns[shard] =
-            self.driver_ready_ns[shard].max(now_ns + self.cfg.driver.coalesced_interrupt_ns());
+            self.driver_ready_ns[shard].max(now_ns + self.cfg.driver.interrupt_ns);
         self.recorder
             .record(SpanEvent::new(SpanKind::Interrupt, now_ns).shard(shard));
-        let announce_ns = now_ns + self.cfg.driver.coalesced_interrupt_ns();
+        let announce_ns = now_ns + self.cfg.driver.interrupt_ns;
         for c in batch {
             self.settle_completion(shard, period_ps, c, now_ns, announce_ns);
         }
@@ -950,7 +984,7 @@ impl Runtime {
     /// doorbell write whose fixed MMIO cost is paid once per shard.
     ///
     /// A doorbell occupies its shard's driver
-    /// (`driver_ready_ns[s] = now + doorbell_ns`) but is *not* an
+    /// (`driver_ready_ns[s] = now + submit_ns`) but is *not* an
     /// engine stall: the engine starts the first descriptor at this
     /// edge and chains through the rest device-side.
     pub fn dispatch(&mut self, dces: &mut [Dce], now_ns: f64) {
@@ -1004,7 +1038,7 @@ impl Runtime {
     /// remainder is parked just multiplies recalls without freeing
     /// anything sooner).
     fn kickable_victim(&self, s: usize, dce: &Dce) -> Option<usize> {
-        let oldest = self.qps.shard(s).oldest_in_flight()?;
+        let oldest = self.qps[s].oldest_in_flight()?;
         if dce.suspending() || dce.active_seq() != Some(oldest.seq) {
             return None;
         }
@@ -1135,8 +1169,7 @@ impl Runtime {
     /// Whether a descriptor from a tenant other than `victim` is
     /// already posted behind the active one in shard `s`'s FIFO ring.
     fn ring_waiter_exists(&self, s: usize, victim: usize) -> bool {
-        self.qps
-            .shard(s)
+        self.qps[s]
             .posted_behind_oldest()
             .any(|p| p.desc.tag.tenant != victim)
     }
@@ -1170,9 +1203,7 @@ impl Runtime {
             .filter(|v| v.tenant != victim && v.head.is_some())
             .map(|v| self.policy.urgency(v))
             .min();
-        let ring_waiter = self
-            .qps
-            .shard(s)
+        let ring_waiter = self.qps[s]
             .posted_behind_oldest()
             .map(|p| p.desc.tag.tenant)
             .filter(|&t| t != victim)
@@ -1195,7 +1226,7 @@ impl Runtime {
     /// their true backlog) and the batch goes out with this shard's
     /// doorbell.
     fn dispatch_pinned(&mut self, shard: usize, dce: &mut Dce, now_ns: f64) {
-        if now_ns < self.driver_ready_ns[shard] || self.qps.shard(shard).free_slots() == 0 {
+        if now_ns < self.driver_ready_ns[shard] || self.qps[shard].free_slots() == 0 {
             return;
         }
         // Cheap pre-check before building (allocating) policy views:
@@ -1207,7 +1238,7 @@ impl Runtime {
             return;
         }
         let mut staged = false;
-        while self.qps.shard(shard).free_slots() > 0 {
+        while self.qps[shard].free_slots() > 0 {
             let views = self.views(Some(shard));
             if !views.iter().any(|v| v.head.is_some()) {
                 break;
@@ -1230,7 +1261,7 @@ impl Runtime {
     /// staged work rings its own doorbell once at the end of the edge.
     fn dispatch_least_loaded(&mut self, dces: &mut [Dce], now_ns: f64) {
         let mut staged = vec![false; self.cfg.shards];
-        while let Some(mut target) = self.qps.shallowest(|s| now_ns >= self.driver_ready_ns[s]) {
+        while let Some(mut target) = self.least_loaded(now_ns, 0) {
             let views = self.views(None);
             if !views.iter().any(|v| v.head.is_some()) {
                 break;
@@ -1257,15 +1288,31 @@ impl Runtime {
         }
     }
 
+    /// The least-loaded placement target: among the shards whose driver
+    /// is free at `now_ns` and whose ring has a free slot, the one with
+    /// the shallowest ring; occupancy ties go to the ring whose
+    /// outstanding channel footprint overlaps the fewest channels of
+    /// `mask`, then to the lowest shard id (deterministic placement).
+    /// `mask = 0` is the plain shallowest ring. `None` when no shard is
+    /// eligible.
+    fn least_loaded(&self, now_ns: f64, mask: u64) -> Option<usize> {
+        (0..self.qps.len())
+            .filter(|&s| now_ns >= self.driver_ready_ns[s] && self.qps[s].free_slots() > 0)
+            .min_by_key(|&s| {
+                (
+                    self.qps[s].occupancy(),
+                    (mask & self.qps[s].channel_footprint()).count_ones(),
+                    s,
+                )
+            })
+    }
+
     /// The channel-affinity placement for tenant `pick`'s next fresh
-    /// chunk: over the eligible shards (driver free, ring not full),
-    /// occupancy stays the primary key — the hint only redirects
-    /// occupancy *ties*, toward the ring whose outstanding channel
-    /// footprint overlaps the fewest of the chunk's channels, with the
-    /// shard id as the final deterministic tie-break. Returns `None`
-    /// when the next dispatch is a resume (its footprint lives in the
-    /// suspended cursor, not a pending chunk) — the caller keeps the
-    /// plain shallowest target.
+    /// chunk: the [least-loaded](Self::least_loaded) shard with the
+    /// chunk's channel footprint as the tie-break mask, so the hint only
+    /// redirects occupancy *ties*. Returns `None` when the next dispatch
+    /// is a resume (its footprint lives in the suspended cursor, not a
+    /// pending chunk) — the caller keeps the plain shallowest target.
     fn affinity_target(&self, pick: usize, space: &PimAddrSpace, now_ns: f64) -> Option<usize> {
         let job = self.tenants[pick]
             .queue
@@ -1275,15 +1322,7 @@ impl Runtime {
             return None;
         }
         let mask = chunk_channel_mask(job.chunks.front()?, space);
-        (0..self.cfg.shards)
-            .filter(|&s| now_ns >= self.driver_ready_ns[s] && self.qps.shard(s).free_slots() > 0)
-            .min_by_key(|&s| {
-                (
-                    self.qps.shard(s).occupancy(),
-                    (mask & self.qps.shard(s).channel_footprint()).count_ones(),
-                    s,
-                )
-            })
+        self.least_loaded(now_ns, mask)
     }
 
     /// Pop the picked tenant's next unit of work — a recalled remainder
@@ -1298,7 +1337,7 @@ impl Runtime {
     fn stage_chunk(&mut self, pick: usize, shard: usize, dce: &mut Dce, now_ns: f64) {
         // The seq the ring will assign this descriptor — the
         // continuation gate needs it before the tenant borrow below.
-        let next_seq = self.qps.shard(shard).peek_seq();
+        let next_seq = self.qps[shard].peek_seq();
         let t = &mut self.tenants[pick];
         let job = t
             .queue
@@ -1370,9 +1409,7 @@ impl Runtime {
             desc = desc.continuation_of(pred);
             self.continuations_staged += 1;
         }
-        let seq = self
-            .qps
-            .shard_mut(shard)
+        let seq = self.qps[shard]
             .stage(desc, now_ns, dce.cycle())
             .expect("free slot checked");
         if let Some((first_core, n_entries)) = fresh_span {
@@ -1410,9 +1447,7 @@ impl Runtime {
     /// Publish `shard`'s staged batch with one MMIO doorbell write,
     /// which occupies that shard's driver before its next submission.
     fn ring_shard_doorbell(&mut self, shard: usize, now_ns: f64) {
-        let cost = self
-            .qps
-            .shard_mut(shard)
+        let cost = self.qps[shard]
             .ring_doorbell(&self.cfg.driver)
             .expect("descriptors were staged");
         self.driver_ready_ns[shard] = now_ns + cost;
@@ -1429,35 +1464,6 @@ fn chunk_channel_mask(op: &PimMmuOp, space: &PimAddrSpace) -> u64 {
         let (ch, _, _, _) = space.core_coords(core);
         m | (1u64 << ch.min(63))
     })
-}
-
-impl Tickable for Runtime {
-    fn name(&self) -> &'static str {
-        "pim-runtime"
-    }
-
-    fn tick(&mut self) {
-        self.ticks_taken += 1;
-        let now_ns = self.now_ns();
-        self.enqueue_arrivals(now_ns);
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        // Slept decision-clock edges: all strictly before the next
-        // arrival (the composer wakes the domain at the first edge whose
-        // time reaches it), so `enqueue_arrivals` at each skipped edge
-        // would have found nothing.
-        self.ticks_taken += cycles;
-    }
-
-    fn drain_outputs(&mut self, _sink: &mut dyn FnMut(Output) -> bool) {
-        // The runtime issues no memory traffic of its own; it feeds the
-        // engines through `dispatch`.
-    }
-
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
-    }
 }
 
 #[cfg(test)]
@@ -1485,5 +1491,51 @@ mod tests {
             vec![TenantSpec::poisson("bad", 1_000.0, 64, 0)],
             Box::new(Fcfs),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_rejected() {
+        let cfg = RuntimeConfig {
+            shards: 0,
+            ..RuntimeConfig::default()
+        };
+        Runtime::new(cfg, vec![], Box::new(Fcfs));
+    }
+
+    #[test]
+    fn least_loaded_prefers_emptier_rings_less_overlap_and_lower_ids() {
+        let desc = |mask: u64| {
+            Descriptor::new(DescriptorTag { tenant: 0, job: 0 }, 4, 64).with_channel_mask(mask)
+        };
+        let cfg = RuntimeConfig {
+            shards: 3,
+            hostq: HostQueueConfig::with_depth(2),
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(cfg, vec![], Box::new(Fcfs));
+        // All empty: lowest id wins.
+        assert_eq!(rt.least_loaded(0.0, 0), Some(0));
+        rt.qps[0].stage(desc(0b01), 0.0, 0).unwrap();
+        assert_eq!(rt.least_loaded(0.0, 0), Some(1));
+        // A busy driver takes its shard out of the running until ready.
+        rt.driver_ready_ns[1] = 10.0;
+        assert_eq!(rt.least_loaded(0.0, 0), Some(2));
+        assert_eq!(rt.least_loaded(10.0, 0), Some(1));
+        // Occupancy ties go to the least channel overlap with the mask,
+        // and only then to the lowest id.
+        rt.qps[1].stage(desc(0b11), 0.0, 0).unwrap();
+        rt.qps[2].stage(desc(0b10), 0.0, 0).unwrap();
+        assert_eq!(rt.least_loaded(10.0, 0), Some(0));
+        assert_eq!(rt.least_loaded(10.0, 0b01), Some(2));
+        assert_eq!(rt.least_loaded(10.0, 0b10), Some(0));
+        assert_eq!(rt.least_loaded(10.0, 0b11), Some(0));
+        // Full rings are never targets.
+        for qp in &mut rt.qps {
+            while qp.free_slots() > 0 {
+                qp.stage(desc(0), 0.0, 0).unwrap();
+            }
+        }
+        assert_eq!(rt.least_loaded(10.0, 0), None);
     }
 }

@@ -1,10 +1,10 @@
 //! Composition of a [`Runtime`] with the simulated machine: the runtime
-//! and the host-side completion-ring poller participate in the system's
-//! [`ClockDomains`](pim_sim::ClockDomains) as registered [`Tickable`]
-//! domains, acting at each of their edges *before* the machine's
-//! components tick — so a doorbell lands ahead of the engine's cycle at
-//! the same edge, exactly like the one-shot harness's submit-then-run
-//! ordering.
+//! and the host-side completion-ring poller each own a clock domain
+//! registered with the system's
+//! [`ClockDomains`](pim_sim::ClockDomains), and act at each of their
+//! edges *before* the machine's components tick — so a doorbell lands
+//! ahead of the engine's cycle at the same edge, exactly like the
+//! one-shot harness's submit-then-run ordering.
 //!
 //! Two host-side domains fire per step when due, in this order:
 //! `runtime` (arrival generation, then chunk dispatch through the queue
@@ -20,7 +20,8 @@
 //! before the shard-aware dispatch runs over the whole engine array.
 
 use crate::runtime::Runtime;
-use pim_sim::{ticks_to_ns, DomainId, System, SystemConfig, Tickable, TimingMode};
+use pim_hostq::QueuePair;
+use pim_sim::{ticks_to_ns, DomainId, System, SystemConfig, TimingMode};
 use pim_telemetry::{Counters, SampleSeries, SloConfig, SloTracker, TelemetrySnapshot};
 
 /// Undrained device-side span events a DCE's tap can hold between ring
@@ -219,15 +220,12 @@ impl ServingSystem {
             .host_stats()
             .counters("host", &mut snap.counters);
         self.runtime
-            .queue_pairs()
-            .aggregate_stats()
+            .ring_stats()
             .counters("ring", &mut snap.counters);
         for (s, dce) in self.sys.engines().iter().enumerate() {
             dce.stats()
                 .counters(&format!("shard{s}.dce"), &mut snap.counters);
-            self.runtime
-                .queue_pairs()
-                .shard(s)
+            self.runtime.queue_pairs()[s]
                 .stats()
                 .counters(&format!("shard{s}.ring"), &mut snap.counters);
         }
@@ -271,12 +269,13 @@ impl ServingSystem {
                 // Sample the pre-edge state: queue depths and counters
                 // as the host left them after the previous edge.
                 let shards = self.runtime.config().shards;
-                let qps = self.runtime.queue_pairs();
                 let mut row = Vec::with_capacity(3 + shards);
                 row.push(self.runtime.backlog() as f64);
                 row.push(
-                    (0..shards)
-                        .map(|s| qps.shard(s).in_flight_bytes())
+                    self.runtime
+                        .queue_pairs()
+                        .iter()
+                        .map(QueuePair::in_flight_bytes)
                         .sum::<u64>() as f64,
                 );
                 row.push(self.sys.timing_stats().edges_skipped as f64);
@@ -299,19 +298,20 @@ impl ServingSystem {
             // runtime's edge-indexed clock stays exact.
             let missed = self.sys.pending_missed(self.dom);
             if missed > 0 {
-                Tickable::skip(&mut self.runtime, missed);
+                self.runtime.skip(missed);
             }
-            Tickable::tick(&mut self.runtime);
+            self.runtime.tick();
             self.sys.credit_domain_wall_ns(self.dom, elapsed(t0));
         }
         if pending.contains(self.poller) {
             let t0 = timer();
             let missed = self.sys.pending_missed(self.poller);
             for s in 0..self.runtime.config().shards {
+                let qp = &mut self.runtime.queue_pairs_mut()[s];
                 if missed > 0 {
-                    Tickable::skip(self.runtime.queue_pairs_mut().shard_mut(s), missed);
+                    qp.skip_polls(missed);
                 }
-                Tickable::tick(self.runtime.queue_pairs_mut().shard_mut(s));
+                qp.tick_poll();
                 let dce = &mut self.sys.engines_mut()[s];
                 self.runtime.poll_shard(s, dce, now_ns);
             }

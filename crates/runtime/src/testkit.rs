@@ -22,7 +22,6 @@ use crate::JobSizer;
 use pim_dram::Completion;
 use pim_mapping::{HetMap, Organization, PimAddrSpace};
 use pim_mmu::{Dce, DceConfig, DriverModel, XferKind};
-use pim_sim::Tickable;
 use std::collections::VecDeque;
 
 /// A Table-I engine for shard `shard` over the standard 4-channel
@@ -99,7 +98,7 @@ fn drive_sharded(
     let mut pending: Vec<VecDeque<(u64, Completion)>> =
         (0..shards).map(|_| VecDeque::new()).collect();
     for cycle in 0..max_cycles {
-        Tickable::tick(rt);
+        rt.tick();
         let now_ns = rt.now_ns();
         for (s, dce) in dces.iter_mut().enumerate() {
             rt.poll_shard(s, dce, now_ns);

@@ -30,7 +30,7 @@ use pim_dram::Completion;
 use pim_hostq::HostQueueConfig;
 use pim_mapping::{HetMap, Organization, PimAddrSpace};
 use pim_mmu::{Dce, DceConfig, DriverModel, XferKind};
-use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig, TenantSpec, Tickable};
+use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig, TenantSpec};
 use std::collections::VecDeque;
 
 fn fresh_dce() -> Dce {
@@ -66,7 +66,7 @@ fn e2e_of_one_job(driver: DriverModel, per_core_bytes: u64, chunk_bytes: u64) ->
     let mut dce = fresh_dce();
     let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
     for cycle in 0..40_000_000u64 {
-        Tickable::tick(&mut rt);
+        rt.tick();
         let now_ns = rt.now_ns();
         rt.poll_shard(0, &mut dce, now_ns);
         rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
@@ -173,7 +173,7 @@ fn two_synchronous_chunks_charge_submit_once_and_interrupt_per_chunk() {
 
 /// Regression (deep rings): fielding a completion interrupt must never
 /// hand the driver back *early*. A doorbell that published a large
-/// batch occupies the driver until `t_doorbell + doorbell_ns(batch)`;
+/// batch occupies the driver until `t_doorbell + submit_ns(batch)`;
 /// when the engine retires the first chunk quickly, the interrupt
 /// fielded mid-window used to overwrite `driver_ready_ns` backwards
 /// (`now + interrupt_ns` < the doorbell's own busy horizon), letting
@@ -217,7 +217,7 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
     let mut doorbell_times: Vec<f64> = Vec::new();
     let mut doorbells_seen = 0;
     for cycle in 0..40_000_000u64 {
-        Tickable::tick(&mut rt);
+        rt.tick();
         let now_ns = rt.now_ns();
         rt.poll_shard(0, &mut dce, now_ns);
         rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
@@ -254,7 +254,7 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
     // Interrupts field well inside the first doorbell's busy window
     // (the engine is far faster than 64 µs here) — the second doorbell
     // must still wait the window out.
-    let first_batch_busy_until = doorbell_times[0] + driver.doorbell_ns(8 * 16);
+    let first_batch_busy_until = doorbell_times[0] + driver.submit_ns(8 * 16);
     assert!(
         doorbell_times[1] >= first_batch_busy_until - 1e-9,
         "doorbell 2 at {} ns rang inside doorbell 1's busy window (until {} ns): \

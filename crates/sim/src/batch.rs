@@ -115,11 +115,6 @@ pub fn run_batch(points: &[BatchPoint], threads: usize) -> Vec<TransferResult> {
         .collect()
 }
 
-/// Convenience: run every point with [`default_threads`] workers.
-pub fn run_batch_parallel(points: &[BatchPoint]) -> Vec<TransferResult> {
-    run_batch(points, default_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

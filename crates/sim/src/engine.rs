@@ -1,156 +1,14 @@
-//! The reusable component engine.
+//! The clock-domain scheduler.
 //!
-//! Every cycle-level model in the machine implements [`Tickable`] — a
-//! uniform tick / drain-outputs / stats-snapshot surface — and
-//! [`ClockDomains`] owns the per-domain [`Clock`]s that used to be
-//! embedded in `System`. `System` itself is reduced to *composition*:
-//! it registers one domain per component group, asks the scheduler which
-//! domains fire at the next edge, and wires component outputs together.
-//!
-//! The trait lives here (not in `pim-cpu`/`pim-dram`/`pim-mmu`) so the
-//! substrate crates stay independent of the sim layer; Rust's coherence
-//! rules allow the local-trait-for-foreign-type impls in
-//! [`crate::components`].
+//! [`ClockDomains`] owns one [`Clock`] grid per registered domain and
+//! picks the next edge to deliver. `System` composes the machine over
+//! it: it registers one domain per component group, asks the scheduler
+//! which domains fire at the next edge, and calls each component's own
+//! `tick`, `skip_cycles` and `next_event_cycle`.
 
 use crate::clock::{ticks_to_ns, Clock, TICKS_PER_NS};
 use crate::timeq::TimeQ;
-use pim_dram::{Completion, MemRequest};
-use pim_mapping::MemSpace;
 use pim_telemetry::{CounterSet, Counters};
-
-/// A unit of work leaving a component at a clock edge.
-#[derive(Debug, Clone, Copy)]
-pub enum Output {
-    /// A translated memory request bound for the controller group of
-    /// `space` (emitted by request sources: the CPU cluster and the DCE).
-    Request {
-        /// Which controller group must service the request.
-        space: MemSpace,
-        /// The request, already address-translated.
-        req: MemRequest,
-    },
-    /// A completed memory access leaving a controller, to be routed back
-    /// to whichever component issued it.
-    Done(Completion),
-}
-
-/// Counter snapshot a component contributes to system-level accounting
-/// (power windows, whole-run energy). Fields a component does not own
-/// stay zero; [`merge`](Self::merge) sums snapshots across components.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// CPU core cycles spent busy (cluster only).
-    pub core_active_cycles: u64,
-    /// Transfer-loop (AVX) instructions retired (cluster only).
-    pub transfer_instr: u64,
-    /// Shared-LLC accesses, hits plus misses (cluster only).
-    pub llc_accesses: u64,
-    /// DRAM row activations (controllers only).
-    pub dram_activates: u64,
-    /// DRAM read bursts (controllers only).
-    pub dram_reads: u64,
-    /// DRAM write bursts (controllers only).
-    pub dram_writes: u64,
-    /// DRAM refresh commands (controllers only).
-    pub dram_refreshes: u64,
-    /// 64 B lines fully copied by the DCE (DCE only).
-    pub dce_lines: u64,
-    /// Engine cycles the DCE had an active job (DCE only).
-    pub dce_busy_cycles: u64,
-}
-
-impl StatsSnapshot {
-    /// Field-wise accumulate `other` into `self`.
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.core_active_cycles += other.core_active_cycles;
-        self.transfer_instr += other.transfer_instr;
-        self.llc_accesses += other.llc_accesses;
-        self.dram_activates += other.dram_activates;
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.dram_refreshes += other.dram_refreshes;
-        self.dce_lines += other.dce_lines;
-        self.dce_busy_cycles += other.dce_busy_cycles;
-    }
-
-    /// Field-wise difference `self - earlier` (window deltas).
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            core_active_cycles: self.core_active_cycles - earlier.core_active_cycles,
-            transfer_instr: self.transfer_instr - earlier.transfer_instr,
-            llc_accesses: self.llc_accesses - earlier.llc_accesses,
-            dram_activates: self.dram_activates - earlier.dram_activates,
-            dram_reads: self.dram_reads - earlier.dram_reads,
-            dram_writes: self.dram_writes - earlier.dram_writes,
-            dram_refreshes: self.dram_refreshes - earlier.dram_refreshes,
-            dce_lines: self.dce_lines - earlier.dce_lines,
-            dce_busy_cycles: self.dce_busy_cycles - earlier.dce_busy_cycles,
-        }
-    }
-}
-
-impl Counters for StatsSnapshot {
-    fn counters(&self, prefix: &str, out: &mut CounterSet) {
-        out.push(prefix, "core_active_cycles", self.core_active_cycles as f64);
-        out.push(prefix, "transfer_instr", self.transfer_instr as f64);
-        out.push(prefix, "llc_accesses", self.llc_accesses as f64);
-        out.push(prefix, "dram_activates", self.dram_activates as f64);
-        out.push(prefix, "dram_reads", self.dram_reads as f64);
-        out.push(prefix, "dram_writes", self.dram_writes as f64);
-        out.push(prefix, "dram_refreshes", self.dram_refreshes as f64);
-        out.push(prefix, "dce_lines", self.dce_lines as f64);
-        out.push(prefix, "dce_busy_cycles", self.dce_busy_cycles as f64);
-    }
-}
-
-/// A clocked component of the simulated machine.
-///
-/// The contract mirrors how `System` drives every component:
-///
-/// 1. at each edge of the component's clock domain, [`tick`](Self::tick)
-///    advances it one cycle;
-/// 2. [`drain_outputs`](Self::drain_outputs) then hands pending outputs
-///    to a sink, which may refuse [`Output::Request`]s (controller queue
-///    back-pressure) — the component must keep refused work queued;
-/// 3. [`stats_snapshot`](Self::stats_snapshot) exposes cumulative
-///    counters for windowed power and whole-run energy accounting.
-pub trait Tickable {
-    /// Stable component name (for diagnostics and domain labeling).
-    fn name(&self) -> &'static str;
-
-    /// Advance one cycle of this component's clock domain.
-    fn tick(&mut self);
-
-    /// Drain pending outputs through `sink`, stopping at the first
-    /// refused output. [`Output::Done`] completions are not
-    /// flow-controlled: sinks must always accept them.
-    fn drain_outputs(&mut self, sink: &mut dyn FnMut(Output) -> bool);
-
-    /// Cumulative counters since construction.
-    fn stats_snapshot(&self) -> StatsSnapshot;
-
-    /// Event horizon: the earliest local cycle index at or after `now`
-    /// (the component's own cycle count) at which it needs a tick, or
-    /// `None` if it is quiescent and can be parked until an external
-    /// input re-arms its domain.
-    ///
-    /// The default — `Some(now)` — means "tick me at every edge", which
-    /// is always correct and is what a busy component reports. A
-    /// component may only report a later horizon (or `None`) when ticks
-    /// in between are provably no-ops, so that [`skip`](Self::skip)-ing
-    /// them reproduces the cycle-stepped run bit for bit.
-    fn next_event(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
-    /// Catch up over `cycles` skipped idle cycles. Must be exactly
-    /// equivalent to `cycles` consecutive [`tick`](Self::tick)s given the
-    /// component was quiescent throughout (the condition under which the
-    /// scheduler elides edges).
-    fn skip(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
-}
 
 /// Handle to one registered clock domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -674,20 +532,5 @@ mod tests {
         assert_eq!(d.edges_through(tk, 50), 1);
         assert_eq!(d.edges_through(tk, 99), 1);
         assert_eq!(d.edges_through(tk, 100), 2);
-    }
-
-    #[test]
-    fn snapshot_merge_and_delta_roundtrip() {
-        let a = StatsSnapshot {
-            core_active_cycles: 5,
-            dram_reads: 7,
-            dce_lines: 2,
-            ..StatsSnapshot::default()
-        };
-        let mut sum = StatsSnapshot::default();
-        sum.merge(&a);
-        sum.merge(&a);
-        assert_eq!(sum.dram_reads, 14);
-        assert_eq!(sum.delta(&a), a);
     }
 }

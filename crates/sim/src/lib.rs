@@ -7,11 +7,12 @@
 //! on two clock domains (3.2 GHz core/engine clock, 1.2 GHz DDR4-2400
 //! memory clock) over a common integer tick of 1/96 ns.
 //!
-//! Components plug into the [`engine`] layer: each implements
-//! [`Tickable`] (tick + drain-outputs + stats snapshot, adapters in
-//! [`components`]) and [`System`] composes them over a [`ClockDomains`]
-//! scheduler. Independent experiment points fan out across host cores
-//! through the [`batch`] harness.
+//! [`System`] composes the components over a [`ClockDomains`]
+//! scheduler ([`engine`]) and calls each one's own methods: `tick` at
+//! its domain's edges, `skip_cycles` over edges it slept through, and
+//! `next_event_cycle` for the horizon that decides which edges it may
+//! sleep through. Independent experiment points fan out across host
+//! cores through the [`batch`] harness.
 //!
 //! The four design points of the paper's ablation (Fig. 15) are selected
 //! with [`DesignPoint`]:
@@ -25,7 +26,6 @@
 
 pub mod batch;
 pub mod clock;
-pub mod components;
 pub mod config;
 pub mod engine;
 pub mod result;
@@ -35,11 +35,11 @@ pub mod system;
 pub mod timeq;
 pub mod transfer;
 
-pub use batch::{default_threads, run_batch, run_batch_parallel, BatchPoint, Experiment};
+pub use batch::{default_threads, run_batch, BatchPoint, Experiment};
 pub use clock::{ns_to_ticks, ticks_to_ns, Clock, TICKS_PER_NS};
 pub use config::TimingMode;
 pub use config::{DesignPoint, SystemConfig, ThreadAssignment};
-pub use engine::{ClockDomains, DomainId, Fired, Output, StatsSnapshot, Tickable, TimingStats};
+pub use engine::{ClockDomains, DomainId, Fired, TimingStats};
 pub use result::{PowerSample, TransferResult};
 #[cfg(feature = "sanitize")]
 pub use sanitize::{SanitizeKind, SanitizeViolation};

@@ -2,7 +2,7 @@
 //!
 //! The event-driven core's whole bargain is that a parked or deferred
 //! domain *provably* has nothing to do before its armed wake edge. That
-//! proof lives in each component's [`Tickable::next_event`] and in the
+//! proof lives in each component's `next_event_cycle` and in the
 //! scheduler's re-arm discipline — and a bug in either produces the
 //! worst kind of failure: not a crash, but a simulation that silently
 //! diverges from the cycle-stepped reference because a component slept
@@ -18,7 +18,8 @@
 //! 3. **skip reconciliation** — no component's clock, and no domain's
 //!    delivered-edge count, is ever *ahead* of the grid at `now`;
 //! 4. **lost-wakeup / stale-horizon** — every internal component's
-//!    horizon is *re-derived* from scratch via `next_event`; a domain
+//!    horizon is *re-derived* from scratch via `next_event_cycle`
+//!    ([`CpuCluster`], [`Dce`] and [`MemController`]); a domain
 //!    whose component reports work at edge `e` must be armed, at an
 //!    edge no later than `e` (a parked domain with work is a lost
 //!    wakeup; an armed one aimed past `e` is a stale horizon);
@@ -34,7 +35,9 @@
 //! collects [`SanitizeViolation`]s instead, which is what the
 //! fault-injection tests use.
 //!
-//! [`Tickable::next_event`]: crate::engine::Tickable::next_event
+//! [`CpuCluster`]: pim_cpu::CpuCluster::next_event_cycle
+//! [`Dce`]: pim_mmu::Dce::next_event_cycle
+//! [`MemController`]: pim_dram::MemController::next_event_cycle
 
 /// Which invariant a violation breaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

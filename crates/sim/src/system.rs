@@ -1,21 +1,22 @@
 //! The assembled system: CPU cluster + DCE + DRAM/PIM memory controllers
-//! composed over the [`crate::engine`] component engine.
+//! composed over the [`crate::engine`] clock-domain scheduler.
 //!
 //! `System` owns no per-component clock bookkeeping: every clock lives in
-//! a [`ClockDomains`] scheduler, every component is driven through the
-//! [`Tickable`] surface, and `step` is pure composition — advance to the
-//! earliest edge, tick whichever domains fired, wire outputs together.
+//! a [`ClockDomains`] scheduler, and `step` is pure composition — advance
+//! to the earliest edge, call `tick` on whichever components' domains
+//! fired, and move requests and completions between them.
 
 use crate::clock::{ns_ticks_floor, ticks_to_ns};
 use crate::config::{SystemConfig, TimingMode};
-use crate::engine::{ClockDomains, DomainId, Fired, Output, StatsSnapshot, Tickable, TimingStats};
+use crate::engine::{ClockDomains, DomainId, Fired, TimingStats};
 use crate::result::PowerSample;
 use pim_cpu::{CpuCluster, Thread};
-use pim_dram::MemController;
+use pim_dram::{Completion, MemController, OutRequest};
 use pim_energy::ActivityCounts;
 use pim_mapping::{HetMap, MemSpace, PimAddrSpace};
 use pim_mmu::dce::DCE_SOURCE;
 use pim_mmu::Dce;
+use std::collections::VecDeque;
 
 /// [`DomainId`] handles for the registered clock domains (the clocks
 /// themselves live in [`ClockDomains`]).
@@ -81,11 +82,28 @@ pub struct System {
     sanitizer: crate::sanitize::Sanitizer,
 }
 
-/// Timestamped counter snapshot for windowed power computation.
+/// Cumulative activity counters summed over every component, stamped
+/// with the simulated time they were read at; windowed power is the
+/// difference of two.
 #[derive(Debug, Clone, Copy, Default)]
 struct Snapshot {
     t_ns: f64,
-    counters: StatsSnapshot,
+    /// CPU core cycles spent busy.
+    core_active_cycles: u64,
+    /// Transfer-loop (AVX) instructions retired.
+    transfer_instr: u64,
+    /// Shared-LLC accesses, hits plus misses.
+    llc_accesses: u64,
+    /// Row activations over every DRAM and PIM controller.
+    dram_activates: u64,
+    /// Read bursts over every controller.
+    dram_reads: u64,
+    /// Write bursts over every controller.
+    dram_writes: u64,
+    /// Refresh commands over every controller.
+    dram_refreshes: u64,
+    /// 64 B lines fully copied by the engines.
+    dce_lines: u64,
 }
 
 /// One clock domain's slice of the simulator's own cost: how many edges
@@ -206,8 +224,8 @@ impl System {
         &self.clocks
     }
 
-    /// Register an additional clock domain for an external [`Tickable`]
-    /// participant (e.g. a host-side transfer-queue runtime). The
+    /// Register an additional clock domain for an external participant
+    /// (e.g. a host-side transfer-queue runtime). The
     /// composer owning both the `System` and the participant ticks it
     /// whenever [`pending`](Self::pending)/[`step`](Self::step) report
     /// the domain firing.
@@ -293,8 +311,8 @@ impl System {
     }
 
     /// How many elided edges domain `d`'s next fire will fold in — the
-    /// catch-up count a composer must [`Tickable::skip`] its external
-    /// participant by before ticking it at the edge. Always 0 under the
+    /// count of edges a composer must catch its external participant up
+    /// over before ticking it at the edge. Always 0 under the
     /// cycle-stepped driver.
     pub fn pending_missed(&self, d: DomainId) -> u64 {
         self.clocks.pending_missed(d)
@@ -310,20 +328,20 @@ impl System {
             let dce = &mut self.engines[s];
             let deficit = target.saturating_sub(dce.cycle());
             if deficit > 0 {
-                Tickable::skip(dce, deficit);
+                dce.skip_cycles(deficit);
             }
         }
     }
 
-    /// Re-arm the domain of every engine holding work (an active job or
-    /// queued descriptors) at its first edge at or after tick `now` —
-    /// the wake half of the doorbell/submit protocol. No-op for armed
-    /// domains that are already due earlier.
+    /// Re-arm the domain of every engine holding work (one with an
+    /// event horizon: an active job or queued descriptors) at its first
+    /// edge at or after tick `now` — the wake half of the
+    /// doorbell/submit protocol. No-op for armed domains that are
+    /// already due earlier.
     pub fn wake_engines(&mut self, now: u64) {
-        for s in 0..self.engines.len() {
-            let e = &self.engines[s];
-            if e.busy() || e.pending_descriptors() > 0 {
-                self.clocks.wake_at(self.domains.dce[s], now);
+        for (e, &dom) in self.engines.iter().zip(&self.domains.dce) {
+            if e.next_event_cycle().is_some() {
+                self.clocks.wake_at(dom, now);
             }
         }
     }
@@ -356,9 +374,9 @@ impl System {
         ticks_to_ns(self.t)
     }
 
-    /// Drain `source`'s pending requests into the controller queues,
-    /// honoring per-queue back-pressure (a refused request stops the
-    /// drain; the source keeps it queued).
+    /// Drain a request source's `outbox` front-first into the controller
+    /// queues, honoring per-queue back-pressure (a refused request stops
+    /// the drain and stays at the front).
     ///
     /// A request is a cross-domain input: before an accepted `enqueue`
     /// the target controller is caught up to the cycle count it would
@@ -376,7 +394,7 @@ impl System {
     /// first edge strictly after it, or a slept controller would see the
     /// request one cycle earlier than the reference.
     fn drain_requests(
-        source: &mut dyn Tickable,
+        outbox: &mut VecDeque<OutRequest>,
         dram: &mut [MemController],
         pim: &mut [MemController],
         clocks: &mut ClockDomains,
@@ -384,35 +402,31 @@ impl System {
         t: u64,
         ticked: PhasePos,
     ) {
-        source.drain_outputs(&mut |out| match out {
-            Output::Request { space, req } => {
-                let (ctrl, dom, ticked) = match space {
-                    MemSpace::Dram => (
-                        &mut dram[req.addr.channel as usize],
-                        domains.dram,
-                        ticked.dram,
-                    ),
-                    MemSpace::Pim => (&mut pim[req.addr.channel as usize], domains.pim, ticked.pim),
-                };
-                if ctrl.can_accept(req.kind) {
-                    let target = if ticked {
-                        clocks.edges_through(dom, t)
-                    } else {
-                        clocks.edges_before(dom, t)
-                    };
-                    let deficit = target.saturating_sub(ctrl.clock());
-                    if deficit > 0 {
-                        Tickable::skip(ctrl, deficit);
-                    }
-                    ctrl.enqueue(req).expect("capacity checked");
-                    clocks.wake_at(dom, if ticked { t + 1 } else { t });
-                    true
-                } else {
-                    false
-                }
+        while let Some(&OutRequest { space, req }) = outbox.front() {
+            let (ctrl, dom, ticked) = match space {
+                MemSpace::Dram => (
+                    &mut dram[req.addr.channel as usize],
+                    domains.dram,
+                    ticked.dram,
+                ),
+                MemSpace::Pim => (&mut pim[req.addr.channel as usize], domains.pim, ticked.pim),
+            };
+            if !ctrl.can_accept(req.kind) {
+                return;
             }
-            Output::Done(_) => unreachable!("request sources do not emit completions"),
-        });
+            let target = if ticked {
+                clocks.edges_through(dom, t)
+            } else {
+                clocks.edges_before(dom, t)
+            };
+            let deficit = target.saturating_sub(ctrl.clock());
+            if deficit > 0 {
+                ctrl.skip_cycles(deficit);
+            }
+            ctrl.enqueue(req).expect("capacity checked");
+            clocks.wake_at(dom, if ticked { t + 1 } else { t });
+            outbox.pop_front();
+        }
     }
 
     /// Top every request source's queue back up (after controllers freed
@@ -422,7 +436,7 @@ impl System {
     fn refill_controller_queues(&mut self, ticked: PhasePos) {
         let t = self.t;
         Self::drain_requests(
-            &mut self.cluster,
+            self.cluster.outbox_mut(),
             &mut self.dram,
             &mut self.pim,
             &mut self.clocks,
@@ -432,7 +446,7 @@ impl System {
         );
         for dce in &mut self.engines {
             Self::drain_requests(
-                dce,
+                dce.outbox_mut(),
                 &mut self.dram,
                 &mut self.pim,
                 &mut self.clocks,
@@ -453,22 +467,16 @@ impl System {
             MemSpace::Dram => &mut self.dram,
             MemSpace::Pim => &mut self.pim,
         };
-        let mut done: Vec<Output> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         for c in ctrls.iter_mut() {
             let deficit = target.saturating_sub(c.clock());
             if deficit > 0 {
-                Tickable::skip(c, deficit);
+                c.skip_cycles(deficit);
             }
-            Tickable::tick(c);
-            c.drain_outputs(&mut |o| {
-                done.push(o);
-                true
-            });
+            c.tick();
+            done.extend(c.drain_completions());
         }
-        for o in done {
-            let Output::Done(c) = o else {
-                unreachable!("controllers only emit completions")
-            };
+        for c in done {
             // Engine traffic is tagged DCE_SOURCE + shard: route the
             // completion back to the shard that issued the request.
             let shard = c.source.0.wrapping_sub(DCE_SOURCE) as usize;
@@ -522,11 +530,11 @@ impl System {
             let target = self.clocks.delivered(self.domains.cpu) - 1;
             let deficit = target.saturating_sub(self.cluster.clock());
             if deficit > 0 {
-                Tickable::skip(&mut self.cluster, deficit);
+                self.cluster.skip_cycles(deficit);
             }
-            Tickable::tick(&mut self.cluster);
+            self.cluster.tick();
             Self::drain_requests(
-                &mut self.cluster,
+                self.cluster.outbox_mut(),
                 &mut self.dram,
                 &mut self.pim,
                 &mut self.clocks,
@@ -544,11 +552,11 @@ impl System {
                 let dce = &mut self.engines[s];
                 let deficit = target.saturating_sub(dce.cycle());
                 if deficit > 0 {
-                    Tickable::skip(dce, deficit);
+                    dce.skip_cycles(deficit);
                 }
-                Tickable::tick(dce);
+                dce.tick();
                 Self::drain_requests(
-                    dce,
+                    dce.outbox_mut(),
                     &mut self.dram,
                     &mut self.pim,
                     &mut self.clocks,
@@ -629,13 +637,12 @@ impl System {
     fn apply_horizons(&mut self, fired: u64) {
         let hit = |d: DomainId| fired & (1 << d.index()) != 0;
         if hit(self.domains.cpu) {
-            let h = Tickable::next_event(&self.cluster, self.cluster.clock());
+            let h = self.cluster.next_event_cycle();
             Self::apply_horizon(&mut self.clocks, self.domains.cpu, h);
         }
         for s in 0..self.engines.len() {
             if hit(self.domains.dce[s]) {
-                let e = &self.engines[s];
-                let h = Tickable::next_event(e, e.cycle());
+                let h = self.engines[s].next_event_cycle();
                 Self::apply_horizon(&mut self.clocks, self.domains.dce[s], h);
             }
         }
@@ -657,7 +664,7 @@ impl System {
     fn group_horizon(ctrls: &[MemController]) -> Option<u64> {
         ctrls
             .iter()
-            .filter_map(|c| Tickable::next_event(c, c.clock()))
+            .filter_map(MemController::next_event_cycle)
             .min()
     }
 
@@ -683,36 +690,41 @@ impl System {
 
     /// Cumulative counters summed over every component.
     fn totals(&self) -> Snapshot {
-        let mut counters = self.cluster.stats_snapshot();
-        for dce in &self.engines {
-            counters.merge(&dce.stats_snapshot());
-        }
-        for c in self.dram.iter().chain(self.pim.iter()) {
-            counters.merge(&c.stats_snapshot());
-        }
-        Snapshot {
+        let cpu = &self.cluster;
+        let mut s = Snapshot {
             t_ns: self.now_ns(),
-            counters,
+            core_active_cycles: cpu.core_stats().iter().map(|c| c.busy_cycles).sum(),
+            transfer_instr: cpu.stats().retired_transfer,
+            llc_accesses: cpu.llc().hits + cpu.llc().misses,
+            dce_lines: self.engines.iter().map(|e| e.stats().lines_done).sum(),
+            ..Snapshot::default()
+        };
+        for c in self.dram.iter().chain(self.pim.iter()) {
+            let st = c.stats();
+            s.dram_activates += st.activates;
+            s.dram_reads += st.reads;
+            s.dram_writes += st.writes;
+            s.dram_refreshes += st.refreshes;
         }
+        s
     }
 
     /// Activity since `snap`, as energy-model input.
     fn delta_counts(&self, snap: &Snapshot, now: &Snapshot) -> ActivityCounts {
-        let d = now.counters.delta(&snap.counters);
         ActivityCounts {
             duration_ns: now.t_ns - snap.t_ns,
             cores: self.cfg.cpu.cores,
-            core_active_cycles: d.core_active_cycles,
+            core_active_cycles: now.core_active_cycles - snap.core_active_cycles,
             // AVX premium applied per transfer-loop instruction.
-            avx_cycles: d.transfer_instr,
-            llc_accesses: d.llc_accesses,
+            avx_cycles: now.transfer_instr - snap.transfer_instr,
+            llc_accesses: now.llc_accesses - snap.llc_accesses,
             ranks: self.cfg.dram_org.channels * self.cfg.dram_org.ranks
                 + self.cfg.pim_org.channels * self.cfg.pim_org.ranks,
-            dram_acts: d.dram_activates,
-            dram_reads: d.dram_reads,
-            dram_writes: d.dram_writes,
-            dram_refreshes: d.dram_refreshes,
-            dce_lines: d.dce_lines,
+            dram_acts: now.dram_activates - snap.dram_activates,
+            dram_reads: now.dram_reads - snap.dram_reads,
+            dram_writes: now.dram_writes - snap.dram_writes,
+            dram_refreshes: now.dram_refreshes - snap.dram_refreshes,
+            dce_lines: now.dce_lines - snap.dce_lines,
             pimmmu_present: !self.engines.is_empty(),
         }
     }
@@ -727,7 +739,7 @@ impl System {
         let target = self.clocks.edges_through(self.domains.cpu, t);
         let deficit = target.saturating_sub(self.cluster.clock());
         if deficit > 0 {
-            Tickable::skip(&mut self.cluster, deficit);
+            self.cluster.skip_cycles(deficit);
         }
         for (dom, ctrls) in [
             (self.domains.dram, &mut self.dram),
@@ -737,7 +749,7 @@ impl System {
             for c in ctrls.iter_mut() {
                 let deficit = target.saturating_sub(c.clock());
                 if deficit > 0 {
-                    Tickable::skip(c, deficit);
+                    c.skip_cycles(deficit);
                 }
             }
         }
@@ -838,8 +850,8 @@ impl System {
 
     /// Inject a **stale horizon**: re-aim the DRAM group's domain well
     /// past its true re-derived horizon, as if `apply_horizons` had
-    /// trusted a buggy `next_event` that overshot. The next `step` must
-    /// flag it. (Merely *suppressing* a re-aim is not a fault —
+    /// trusted a buggy `next_event_cycle` that overshot. The next `step`
+    /// must flag it. (Merely *suppressing* a re-aim is not a fault —
     /// `take_due`'s default re-arm at the next grid edge is
     /// conservative — so the injection overshoots instead.)
     ///
@@ -943,20 +955,17 @@ impl System {
         // the armed wake. (The sample domain has no component and
         // composer-registered domains manage their own horizons.)
         let mut horizons: Vec<(DomainId, Option<u64>)> = vec![
-            (
-                self.domains.cpu,
-                Tickable::next_event(&self.cluster, self.cluster.clock()),
-            ),
+            (self.domains.cpu, self.cluster.next_event_cycle()),
             (self.domains.dram, Self::group_horizon(&self.dram)),
             (self.domains.pim, Self::group_horizon(&self.pim)),
         ];
         for (s, e) in self.engines.iter().enumerate() {
-            horizons.push((self.domains.dce[s], Tickable::next_event(e, e.cycle())));
+            horizons.push((self.domains.dce[s], e.next_event_cycle()));
         }
         for (d, h) in horizons {
             let Some(e) = h else { continue };
-            // `next_event` horizons at or before the delivered count
-            // mean "tick me at the very next edge".
+            // Horizons at or before the delivered count mean "tick me
+            // at the very next edge".
             let want = e.max(self.clocks.delivered(d));
             if !self.clocks.armed(d) {
                 findings.push(SanitizeViolation {
@@ -1124,6 +1133,36 @@ mod tests {
         let before = sys.self_profile()[0].wall_ns;
         sys.credit_domain_wall_ns(d, 17);
         assert_eq!(sys.self_profile()[0].wall_ns, before + 17);
+    }
+
+    #[test]
+    fn refused_requests_stay_queued_in_order() {
+        use pim_dram::{AccessKind, ControllerConfig, MemRequest, SourceId};
+        use pim_mapping::{DramAddr, PhysAddr};
+
+        let mut sys = System::new(SystemConfig::table1(DesignPoint::Baseline), vec![]);
+        // 100 reads for DRAM channel 0: its empty read queue takes the
+        // first `read_q_cap` (64), and the refusal stops the drain there.
+        let mut outbox: VecDeque<OutRequest> = (0..100)
+            .map(|id| OutRequest {
+                space: MemSpace::Dram,
+                req: MemRequest::read(id, PhysAddr(id * 64), DramAddr::default(), SourceId(0)),
+            })
+            .collect();
+        System::drain_requests(
+            &mut outbox,
+            &mut sys.dram,
+            &mut sys.pim,
+            &mut sys.clocks,
+            &sys.domains,
+            0,
+            PhasePos::PRE,
+        );
+        let cap = ControllerConfig::default().read_q_cap;
+        assert_eq!(sys.dram[0].inflight(), cap);
+        assert!(!sys.dram[0].can_accept(AccessKind::Read));
+        // The rest stay queued, in their original order.
+        assert!(outbox.iter().map(|o| o.req.id).eq(cap as u64..100));
     }
 
     #[test]
