@@ -13,7 +13,7 @@ use crate::scheduler::{LinePair, PairScheduler};
 use pim_dram::{Completion, MemRequest, OutRequest, SourceId};
 use pim_mapping::{HetMap, PimAddrSpace, LINE_BYTES};
 use pim_telemetry::{CounterSet, Counters, FlightRecorder, SpanEvent, SpanKind, SpanTap};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Source id tag for DCE-originated memory traffic. A sharded system
 /// instantiates one engine per shard ([`Dce::with_shard`]); shard `s`
@@ -88,7 +88,7 @@ impl SuspendedTransfer {
 }
 
 /// Counters exposed for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DceStats {
     /// 64 B reads issued.
     pub reads_issued: u64,
@@ -160,13 +160,61 @@ struct SegBoundary {
     started_at: u64,
 }
 
+/// Outstanding reads keyed by request id. The engine issues ids in
+/// increasing order, so the map is a ring of slots starting at the
+/// oldest outstanding read's id: lookup is an index, and the slots of
+/// write ids and of reads already landed stay empty until the oldest
+/// read lands and the ring advances past them.
+#[derive(Debug, Default)]
+struct ReadRing {
+    /// Request id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<LinePair>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl ReadRing {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Record read `id`, which must exceed every id inserted before.
+    fn insert(&mut self, id: u64, pair: LinePair) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let idx = usize::try_from(id - self.base).expect("outstanding id span fits usize");
+        debug_assert!(idx >= self.slots.len(), "read ids are issued in order");
+        self.slots.resize(idx, None);
+        self.slots.push_back(Some(pair));
+        self.live += 1;
+    }
+
+    /// Take read `id`'s line pair; `None` if no such read is outstanding.
+    fn remove(&mut self, id: u64) -> Option<LinePair> {
+        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let pair = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(pair)
+    }
+}
+
 #[derive(Debug)]
 struct Job {
     kind: XferKind,
     sched: PairScheduler,
     transpose_q: VecDeque<LinePair>,
     write_ready: VecDeque<LinePair>,
-    inflight_reads: HashMap<u64, LinePair>,
+    inflight_reads: ReadRing,
     inflight_writes: u64,
     buffer_used: u32,
     lines_written: u64,
@@ -327,14 +375,6 @@ impl Dce {
         self.job.is_some()
     }
 
-    /// Whether the engine holds no host-visible work at all: no active
-    /// job, no pending descriptors and no retired-but-undrained
-    /// completions. A host poller may sleep past an idle engine — no
-    /// retirement can surface until another descriptor arrives.
-    pub fn idle(&self) -> bool {
-        self.job.is_none() && self.pending.is_empty() && self.completions.is_empty()
-    }
-
     /// Current engine cycle (ticks since construction) — the clock
     /// [`DceCompletion`] records are stamped in, so a host runtime
     /// measures per-job service time in engine cycles exactly.
@@ -343,20 +383,111 @@ impl Dce {
     }
 
     /// The earliest cycle at or after [`cycle`](Self::cycle) at which a
-    /// tick does real work: the current cycle while a job is active or
-    /// a descriptor is pending (so memory completions always land on an
-    /// armed domain), else `None` — an empty engine sleeps until the
-    /// composer wakes it on enqueue, doorbell or resume.
+    /// tick changes state: the current cycle when the next tick can
+    /// move a line through the transpose unit, issue a write or a read,
+    /// fuse a continuation that heads the pending ring, retire a fused
+    /// segment or the whole descriptor, or quiesce a suspension. `None`
+    /// otherwise — an empty engine, or one whose every line waits on
+    /// memory, a full outbox or a full data buffer. A parked engine
+    /// needs an external input to act again: the composer wakes it when
+    /// a memory completion routes to it, when its full outbox drains, and
+    /// when the host enqueues, resumes or suspends.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        (self.busy() || self.pending_descriptors() > 0).then_some(self.clock)
+        let job = self.job.as_ref()?;
+        self.tick_acts(job).then_some(self.clock)
+    }
+
+    /// Whether a tick in the current state does more than advance the
+    /// clock and the per-cycle counters [`skip_cycles`](Self::skip_cycles)
+    /// credits — the case analysis of [`tick`](Self::tick), in its order.
+    fn tick_acts(&self, job: &Job) -> bool {
+        let outbox_room = !self.outbox_full();
+        if !job.transpose_q.is_empty() || (outbox_room && !job.write_ready.is_empty()) {
+            return true;
+        }
+        if !job.suspend_requested {
+            if job.sched.remaining() == 0 && self.fusible(job) {
+                return true;
+            }
+            if outbox_room
+                && job.sched.remaining() > 0
+                && job.buffer_used < self.cfg.data_buffer_lines()
+                && job.inflight_reads.len() < Self::max_inflight(&self.cfg, job.sched.mode())
+            {
+                return true;
+            }
+        }
+        if job
+            .segments
+            .front()
+            .is_some_and(|seg| job.lines_written >= seg.end_lines)
+        {
+            return true;
+        }
+        Self::pipeline_empty(job) && (job.lines_written == job.total || job.suspend_requested)
+    }
+
+    /// Whether the pending ring's head is a continuation of `job` that
+    /// the exhausted sweep can be rebound onto this cycle.
+    fn fusible(&self, job: &Job) -> bool {
+        matches!(
+            self.pending.front(),
+            Some(PendingDesc::Continuation(op, mode, pred))
+                if *pred == job.seq && *mode == job.sched.mode() && job.sched.fits(op)
+        )
+    }
+
+    /// Read-issue depth bound of a scheduling mode.
+    fn max_inflight(cfg: &DceConfig, mode: DceMode) -> usize {
+        match mode {
+            DceMode::Coarse => cfg.coarse_inflight_lines as usize,
+            DceMode::PimMs => cfg.data_buffer_lines() as usize,
+        }
+    }
+
+    /// No line between read issue and write completion.
+    fn pipeline_empty(job: &Job) -> bool {
+        job.inflight_reads.is_empty()
+            && job.inflight_writes == 0
+            && job.transpose_q.is_empty()
+            && job.write_ready.is_empty()
     }
 
     /// Catch up over `cycles` skipped engine cycles — exactly equivalent
-    /// to that many [`tick`](Self::tick)s while the engine has no active
-    /// job and an empty pending ring (an idle tick only advances the
-    /// clock).
+    /// to that many [`tick`](Self::tick)s while
+    /// [`next_event_cycle`](Self::next_event_cycle) is `None`: an idle
+    /// tick only advances the clock, and a parked job's tick also counts
+    /// a busy cycle, plus a drain cycle while a suspension is pending or
+    /// a buffer-stall cycle while reads wait on a full data buffer.
+    /// The composer must catch the engine up *before* an input changes
+    /// the state these counters depend on.
     pub fn skip_cycles(&mut self, cycles: u64) {
         self.clock += cycles;
+        let Some(job) = &self.job else { return };
+        self.stats.busy_cycles += cycles;
+        if job.suspend_requested {
+            self.stats.drain_cycles += cycles;
+        } else if !self.outbox_full() && job.buffer_used >= self.cfg.data_buffer_lines() {
+            self.stats.buffer_stall_cycles += cycles;
+        }
+    }
+
+    /// Whether the outbox is at capacity: the engine can issue nothing
+    /// until the composer drains it.
+    pub fn outbox_full(&self) -> bool {
+        self.outbox.len() >= self.outbox_cap
+    }
+
+    /// Whether the engine holds retirement records or span events the
+    /// host's ring poller has not drained yet.
+    pub fn awaits_poll(&self) -> bool {
+        !self.completions.is_empty() || !self.tap.is_empty()
+    }
+
+    /// Lines whose read data has arrived and that wait for the
+    /// preprocessing (transpose) unit.
+    pub fn lines_awaiting_transpose(&self) -> usize {
+        self.job.as_ref().map_or(0, |j| j.transpose_q.len())
     }
 
     /// Requests awaiting entry into the memory subsystem.
@@ -456,7 +587,7 @@ impl Dce {
             sched,
             transpose_q: VecDeque::new(),
             write_ready: VecDeque::new(),
-            inflight_reads: HashMap::new(),
+            inflight_reads: ReadRing::default(),
             inflight_writes: 0,
             buffer_used: 0,
             lines_written: lines_done,
@@ -669,10 +800,7 @@ impl Dce {
         // suspension stops read issue cold — the drain is what bounds
         // the preemption latency to the in-flight pipeline depth.
         if !job.suspend_requested {
-            let max_inflight = match job.sched.mode() {
-                DceMode::Coarse => self.cfg.coarse_inflight_lines as usize,
-                DceMode::PimMs => self.cfg.data_buffer_lines() as usize,
-            };
+            let max_inflight = Self::max_inflight(&self.cfg, job.sched.mode());
             let mut stalled_on_buffer = false;
             for _ in 0..self.cfg.issue_width {
                 if self.outbox.len() >= self.outbox_cap {
@@ -735,10 +863,7 @@ impl Dce {
         // descriptor retires itself and chains to the next pending one,
         // so back-to-back chunks lose no engine cycles to a host round
         // trip.
-        let pipeline_empty = job.inflight_reads.is_empty()
-            && job.inflight_writes == 0
-            && job.transpose_q.is_empty()
-            && job.write_ready.is_empty();
+        let pipeline_empty = Self::pipeline_empty(job);
         if job.lines_written == job.total && pipeline_empty {
             let job = self.job.take().expect("checked above");
             let bytes = (job.total - job.base_lines) * LINE_BYTES;
@@ -819,7 +944,7 @@ impl Dce {
     /// Feed a memory completion back into the engine.
     pub fn on_completion(&mut self, c: Completion) {
         let Some(job) = &mut self.job else { return };
-        if let Some(pair) = job.inflight_reads.remove(&c.id) {
+        if let Some(pair) = job.inflight_reads.remove(c.id) {
             // ❹ data buffered; queue for the preprocessing unit.
             job.transpose_q.push_back(pair);
         } else if job.inflight_writes > 0 {
@@ -1227,6 +1352,78 @@ mod tests {
         assert_eq!(recs2.len(), 1);
         assert_eq!(dce.stats().continuations, 1);
         assert_eq!(dce.stats().continuation_fallbacks, 0);
+    }
+
+    /// An engine ticked only at cycles where `next_event_cycle` reports
+    /// work, and skipped at the rest, ends exactly like one ticked every
+    /// cycle — same records, same counters — under fast memory, slow
+    /// memory (a full data buffer), a narrow drain (a full outbox) and a
+    /// mid-transfer suspension.
+    #[test]
+    fn skipping_parked_cycles_matches_ticking_them() {
+        let mut exercised = DceStats::default();
+        for (latency, drain_per_cycle, suspend_at) in [
+            (20, 64, None),
+            (400, 64, None),
+            (20, 1, None),
+            (60, 64, Some(100)),
+        ] {
+            let run = |sleep: bool| {
+                let mut dce = setup();
+                let op = PimMmuOp::to_pim(
+                    (0..16).map(|i| (PhysAddr(i * 65536), u32::try_from(i).unwrap())),
+                    8192,
+                    0,
+                );
+                dce.enqueue(op, DceMode::PimMs).unwrap();
+                let mut inflight: VecDeque<(u64, Completion)> = VecDeque::new();
+                let mut recs = Vec::new();
+                let mut parked = 0u64;
+                for now in 0..1_000_000u64 {
+                    if suspend_at == Some(now) {
+                        assert!(dce.request_suspend());
+                    }
+                    if sleep && dce.next_event_cycle().is_none() {
+                        dce.skip_cycles(1);
+                        parked += 1;
+                    } else {
+                        dce.tick();
+                    }
+                    for _ in 0..drain_per_cycle {
+                        let Some(r) = dce.outbox_mut().pop_front() else {
+                            break;
+                        };
+                        let done = now + latency;
+                        inflight.push_back((
+                            done,
+                            Completion {
+                                id: r.req.id,
+                                kind: r.req.kind,
+                                source: r.req.source,
+                                cycle: done,
+                            },
+                        ));
+                    }
+                    while inflight.front().is_some_and(|&(t, _)| t <= now) {
+                        dce.on_completion(inflight.pop_front().unwrap().1);
+                    }
+                    recs.extend(std::iter::from_fn(|| dce.pop_completion()));
+                    if !dce.busy() {
+                        break;
+                    }
+                }
+                (recs, *dce.stats(), parked)
+            };
+            let (ticked, slept) = (run(false), run(true));
+            let label =
+                format!("latency {latency}, drain {drain_per_cycle}, suspend {suspend_at:?}");
+            assert_eq!(ticked.0, slept.0, "{label}: records");
+            assert_eq!(ticked.1, slept.1, "{label}: counters");
+            assert!(slept.2 > 0, "{label}: the engine never parked");
+            exercised.buffer_stall_cycles += slept.1.buffer_stall_cycles;
+            exercised.drain_cycles += slept.1.drain_cycles;
+        }
+        assert!(exercised.buffer_stall_cycles > 0 && exercised.drain_cycles > 0);
     }
 
     #[test]

@@ -143,13 +143,25 @@ impl PimMmuOp {
         if self.entries.is_empty() {
             return Err(OpError::Empty);
         }
-        let mut seen = std::collections::HashSet::new();
-        for &(_, core) in &self.entries {
-            if !seen.insert(core) {
-                return Err(OpError::DuplicateCore(core));
-            }
+        // Sort (core, position) pairs; within each run of one core, the
+        // second entry is that core's first repeat. Report the repeat
+        // that comes first in entry order.
+        let mut by_core: Vec<(u32, usize)> = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, core))| (core, i))
+            .collect();
+        by_core.sort_unstable();
+        let first_repeat = by_core
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1])
+            .min_by_key(|&(_, i)| i);
+        match first_repeat {
+            Some((core, _)) => Err(OpError::DuplicateCore(core)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Split this op into a sequence of smaller, independently valid ops
@@ -242,6 +254,14 @@ mod tests {
     fn rejects_duplicates_and_empty() {
         let op = PimMmuOp::to_pim([(PhysAddr(0), 3), (PhysAddr(64), 3)], 64, 0);
         assert_eq!(op.validate(10), Err(OpError::DuplicateCore(3)));
+        // Several repeated cores: the error names the one whose repeat
+        // comes first in entry order, not the smallest id.
+        let op = PimMmuOp::to_pim(
+            [5, 3, 9, 5, 3].map(|core| (PhysAddr(u64::from(core) * 64), core)),
+            64,
+            0,
+        );
+        assert_eq!(op.validate(10), Err(OpError::DuplicateCore(5)));
         let op = PimMmuOp::from_pim(std::iter::empty(), 64, 0);
         assert_eq!(op.validate(10), Err(OpError::Empty));
     }

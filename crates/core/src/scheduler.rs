@@ -219,6 +219,29 @@ impl PairScheduler {
         }
     }
 
+    /// Whether [`continue_into`](Self::continue_into) would take `op`:
+    /// it names exactly this schedule's core set, each core once.
+    pub fn fits(&self, op: &PimMmuOp) -> bool {
+        self.core_map(op).is_some()
+    }
+
+    /// `op`'s DRAM base per core, if `op` names exactly this schedule's
+    /// core set, each core once.
+    fn core_map(&self, op: &PimMmuOp) -> Option<BTreeMap<u32, PhysAddr>> {
+        let mut by_core: BTreeMap<u32, PhysAddr> = BTreeMap::new();
+        for &(dram_addr, core) in &op.entries {
+            if by_core.insert(core, dram_addr).is_some() {
+                return None;
+            }
+        }
+        let same_set = by_core.len() == self.core_count()
+            && self
+                .channels
+                .iter()
+                .all(|q| q.cores.iter().all(|cur| by_core.contains_key(&cur.core)));
+        same_set.then_some(by_core)
+    }
+
     /// Rebind an exhausted (or mid-flight) schedule onto the *next*
     /// chunk of the same job, preserving the sweep state — per-channel
     /// round-robin positions and the channel cursor — instead of
@@ -234,23 +257,10 @@ impl PairScheduler {
     /// caller must fall back to [`PairScheduler::new`]. Returns whether
     /// the continuation was taken.
     pub fn continue_into(&mut self, op: &PimMmuOp, space: &PimAddrSpace) -> bool {
-        let mut by_core: BTreeMap<u32, PhysAddr> = BTreeMap::new();
-        for &(dram_addr, core) in &op.entries {
-            if by_core.insert(core, dram_addr).is_some() {
-                return false;
-            }
-        }
-        if by_core.len() != self.core_count() {
-            return false;
-        }
         // Validate the full core-set match before mutating anything.
-        for q in &self.channels {
-            for cur in &q.cores {
-                if !by_core.contains_key(&cur.core) {
-                    return false;
-                }
-            }
-        }
+        let Some(by_core) = self.core_map(op) else {
+            return false;
+        };
         let lines_per_core = op.size_per_pim / LINE_BYTES;
         for q in &mut self.channels {
             for cur in &mut q.cores {

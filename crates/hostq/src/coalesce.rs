@@ -83,6 +83,20 @@ impl InterruptCoalescer {
                 .is_some_and(|armed| now_ns >= armed + self.timeout_ns)
     }
 
+    /// The earliest simulated time at which [`due`](Self::due) holds,
+    /// or `None` with nothing pending: the first pending completion's
+    /// time once the count threshold is reached, else its timer
+    /// deadline. A poller may sleep until then — no interrupt can go due
+    /// earlier without another completion arriving.
+    pub fn due_at_ns(&self) -> Option<f64> {
+        let armed = self.armed_at_ns.filter(|_| self.pending > 0)?;
+        Some(if self.pending >= self.threshold {
+            armed
+        } else {
+            armed + self.timeout_ns
+        })
+    }
+
     /// Deliver the pending batch: returns how many completions it
     /// announces and why it fired, resetting the aggregation state.
     ///
@@ -200,6 +214,21 @@ mod tests {
         assert_eq!(c.fire(1_600.0), (2, FireCause::Timer));
         assert_eq!(c.fired_on_count(), 1);
         assert_eq!(c.fired_on_timer(), 1);
+    }
+
+    #[test]
+    fn due_at_is_the_first_instant_due_holds() {
+        let mut c = InterruptCoalescer::new(3, 500.0);
+        assert_eq!(c.due_at_ns(), None);
+        c.on_completion(100.0);
+        assert_eq!(c.due_at_ns(), Some(600.0), "timer deadline");
+        assert!(!c.due(599.9) && c.due(600.0));
+        c.on_completion(200.0);
+        c.on_completion(300.0);
+        assert_eq!(c.due_at_ns(), Some(100.0), "count reached: due already");
+        assert!(c.due(300.0));
+        c.fire(300.0);
+        assert_eq!(c.due_at_ns(), None);
     }
 
     #[test]

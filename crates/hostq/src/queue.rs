@@ -133,7 +133,7 @@ impl std::fmt::Display for HostQError {
 impl std::error::Error for HostQError {}
 
 /// Host-interface counters for one run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostQueueStats {
     /// Descriptors published by doorbells.
     pub posted: u64,
@@ -457,6 +457,13 @@ impl QueuePair {
         self.coalescer.due(now_ns)
     }
 
+    /// The earliest time an interrupt goes due on this ring absent new
+    /// completions (see [`InterruptCoalescer::due_at_ns`]); `None` when
+    /// no completion awaits one.
+    pub fn interrupt_due_at_ns(&self) -> Option<f64> {
+        self.coalescer.due_at_ns()
+    }
+
     /// Reap the chain-silent prefix of the completion ring without an
     /// interrupt: a completion that handed its sweep cursor to a posted
     /// successor raised no wake-up, so the ring poller collects it (and
@@ -498,7 +505,8 @@ impl QueuePair {
 
     /// Account `n` poll edges at once — equivalent to `n` calls to
     /// [`tick_poll`](Self::tick_poll), used when the scheduler skips a
-    /// stretch of poll edges while the ring is idle.
+    /// stretch of poll edges at which the poller provably had nothing to
+    /// drain and no interrupt to field.
     pub fn skip_polls(&mut self, n: u64) {
         self.stats.polls += n;
     }

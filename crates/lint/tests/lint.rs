@@ -20,6 +20,12 @@ fn hash_collections_fixture_trips() {
     // The HashMap inside the leading comment is not reported: only the
     // real `use` (line 4) and the field (line 7).
     assert_eq!(vs.iter().map(|v| v.line).collect::<Vec<_>>(), vec![4, 7]);
+    // The engine crate is in scope too: its completion path is hot.
+    let core = lint_source(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/hash_collections.rs"),
+    );
+    assert_eq!(rules_of(&core), vec!["hash-collections"; 2], "{core:?}");
 }
 
 #[test]

@@ -545,66 +545,47 @@ impl Runtime {
         jain_satisfaction(&pairs)
     }
 
-    /// Whether the host side is momentarily quiescent: no queued jobs,
-    /// no suspended remainder awaiting its recall, and every ring empty.
-    /// While this holds, decision-clock ticks and ring polls are no-ops
-    /// except for pulling in new arrivals — so the scheduler may sleep
-    /// both domains until [`next_arrival_ns`](Self::next_arrival_ns).
-    /// Note the *ring-empty* requirement: kick-style preemption triggers
-    /// off ring waiters, so a non-idle ring must keep polling every edge
-    /// even with an empty backlog.
-    pub fn host_quiescent(&self) -> bool {
-        self.backlog() == 0 && self.suspended.is_empty() && self.rings_idle()
-    }
-
     /// Whether every shard's rings are idle (nothing staged, in flight,
     /// or awaiting an interrupt anywhere).
     fn rings_idle(&self) -> bool {
         self.qps.iter().all(QueuePair::is_idle)
     }
 
-    /// Whether the host is *stalled on the driver*: jobs are queued but
-    /// every shard that could serve them is still busy with an earlier
-    /// doorbell or interrupt (`driver_ready_ns[s] > now`), every ring
-    /// is idle and no suspended remainder awaits recall. In that state
-    /// every dispatch edge early-outs before consulting the policy
-    /// (driver-busy gating under hash-pin, an empty eligible set under
-    /// least-loaded, and no kickable victim anywhere since no ring holds
-    /// an in-flight descriptor), so the decision clock may sleep until
-    /// the earliest *eligible* `driver_ready_ns` — returned here — or
-    /// the next arrival, whichever is first. Returns `None` when the
-    /// host is not in that state. Callers must additionally check that
-    /// every engine is idle before sleeping on this: the runtime cannot
-    /// see retirements still held inside an engine.
-    ///
-    /// Eligibility is per shard: under [`Placement::HashPin`] only the
-    /// shards some queued tenant is pinned to can dispatch, so a wide
-    /// machine sleeps through busy drivers on shards that have nothing
-    /// to do anyway (the pinned dispatch path's pre-check provably
-    /// dispatches nothing there, and with idle rings there is no kick
-    /// victim either). Under
-    /// [`Placement::LeastLoaded`] any shard can steal any tenant's
-    /// head, so every shard is eligible.
-    pub fn driver_stall_ns(&self, now_ns: f64) -> Option<f64> {
-        if self.backlog() == 0 || !self.suspended.is_empty() || !self.rings_idle() {
-            return None;
-        }
-        let eligible = |s: usize| match self.cfg.placement {
-            Placement::LeastLoaded => true,
-            Placement::HashPin => self.tenants.iter().enumerate().any(|(i, t)| {
-                self.tenant_shard(i) == s && t.queue.iter().any(|j| j.has_dispatchable())
-            }),
+    /// The earliest decision-clock time at which
+    /// [`dispatch`](Self::dispatch) can stage a chunk absent new
+    /// arrivals and ring completions: the earliest `driver_ready_ns`
+    /// over the shards that have a free ring slot and dispatchable work
+    /// they may serve — under [`Placement::HashPin`] work of a tenant
+    /// pinned there, under [`Placement::LeastLoaded`] any tenant's.
+    /// `None` when no shard qualifies. A time already past means the
+    /// very next edge (where a declining policy counts a missed
+    /// dispatch, as it would at every edge).
+    pub fn dispatch_ready_ns(&self) -> Option<f64> {
+        let has_work = |t: &TenantState| t.queue.iter().any(Job::has_dispatchable);
+        let ready = |s: usize| (self.qps[s].free_slots() > 0).then_some(self.driver_ready_ns[s]);
+        let earliest = match self.cfg.placement {
+            Placement::LeastLoaded if self.tenants.iter().any(has_work) => (0..self.cfg.shards)
+                .filter_map(ready)
+                .fold(f64::INFINITY, f64::min),
+            Placement::LeastLoaded => f64::INFINITY,
+            Placement::HashPin => self
+                .tenants
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| has_work(t))
+                .filter_map(|(i, _)| ready(self.tenant_shard(i)))
+                .fold(f64::INFINITY, f64::min),
         };
-        let ready = (0..self.cfg.shards)
-            .filter(|&s| eligible(s))
-            .map(|s| self.driver_ready_ns[s])
-            .fold(f64::INFINITY, f64::min);
-        // With idle rings and nothing suspended, every queued job is
-        // dispatchable, so some shard is always eligible under either
-        // placement; an empty eligible set (infinite horizon) would
-        // only arise from a new placement violating that invariant —
-        // fail safe by not sleeping.
-        (ready > now_ns && ready.is_finite()).then_some(ready)
+        earliest.is_finite().then_some(earliest)
+    }
+
+    /// The earliest time a ring's coalescer delivers an interrupt absent
+    /// new completions (see [`QueuePair::interrupt_due_at_ns`]).
+    pub fn interrupt_due_ns(&self) -> Option<f64> {
+        self.qps
+            .iter()
+            .filter_map(QueuePair::interrupt_due_at_ns)
+            .min_by(f64::total_cmp)
     }
 
     /// The earliest future arrival any tenant's generator can deliver
@@ -778,8 +759,10 @@ impl Runtime {
             .collect()
     }
 
-    /// The completion-ring poller for one shard, called at every edge
-    /// of the `hostq` clock domain (before the engines' own ticks):
+    /// The completion-ring poller for one shard, called at each edge
+    /// the `hostq` clock domain fires (before the engines' own ticks;
+    /// the composer sleeps the domain through edges where a poll could
+    /// drain nothing and field no interrupt):
     /// drain shard `shard`'s engine retirement records into that
     /// shard's queue pair, and once its interrupt coalescer fires,
     /// field *one* interrupt for the whole completed batch — routing
@@ -973,8 +956,8 @@ impl Runtime {
         }
     }
 
-    /// The shard-aware submission path, called at every decision-clock
-    /// edge with the whole engine array (after the shard polls when the
+    /// The shard-aware submission path, called at each decision-clock
+    /// edge that fires, with the whole engine array (after the shard polls when the
     /// edges coincide, before the engines' own ticks): while rings have
     /// free slots and their drivers are not busy, let the policy pick
     /// chunks, place each on a shard according to
@@ -1020,13 +1003,6 @@ impl Runtime {
         })
     }
 
-    /// The mid-chunk preemption decision, taken at every dispatch edge
-    /// before placement: arm an engine suspension
-    /// ([`Dce::request_suspend`]) wherever the configured
-    /// [`Preemption`] mode says the in-service chunk should yield. The
-    /// suspension itself is asynchronous — the engine quiesces its
-    /// pipeline over the following cycles and the recalled remainder
-    /// comes back through the completion ring like any retirement.
     /// The kickable victim on shard `s`: the tenant of the ring's
     /// oldest in-flight descriptor, provided the engine is actually
     /// still executing that descriptor (`active_seq` match — when the
@@ -1078,23 +1054,56 @@ impl Runtime {
         }
     }
 
+    /// The mid-chunk preemption decision, taken at every dispatch edge
+    /// before placement: arm an engine suspension
+    /// ([`Dce::request_suspend`]) wherever the configured
+    /// [`Preemption`] mode says the in-service chunk should yield. The
+    /// suspension itself is asynchronous — the engine quiesces its
+    /// pipeline over the following cycles and the recalled remainder
+    /// comes back through the completion ring like any retirement.
     fn maybe_preempt(&mut self, dces: &mut [Dce], now_ns: f64) {
+        for (s, victim, from_cycle) in self.preempt_targets(dces) {
+            let dce = &mut dces[s];
+            if dce.cycle() < from_cycle {
+                continue;
+            }
+            let seq = dce.active_seq();
+            if dce.request_suspend() {
+                self.note_suspend_request(s, victim, seq, now_ns);
+            }
+        }
+    }
+
+    /// The engine cycle from which a dispatch edge would arm a
+    /// suspension on each shard listed, given the current host and
+    /// engine state: 0 for a priority kick that is due at once, the
+    /// quantum's expiry for a time slice. Nothing but a host event (an
+    /// arrival, a ring completion, a dispatch) or the engine's clock
+    /// reaching the listed cycle can change this answer.
+    pub fn preemption_due(&self, dces: &[Dce]) -> Vec<(usize, u64)> {
+        self.preempt_targets(dces)
+            .into_iter()
+            .map(|(s, _, from_cycle)| (s, from_cycle))
+            .collect()
+    }
+
+    /// The suspensions the configured [`Preemption`] mode calls for:
+    /// `(shard, victim tenant, engine cycle from which it applies)`.
+    fn preempt_targets(&self, dces: &[Dce]) -> Vec<(usize, usize, u64)> {
         // Under work stealing, queued heads only justify a kick when no
         // idle engine could take them at this very edge.
         let consider_queued = self.cfg.placement == Placement::HashPin || !self.idle_shard_exists();
+        let mut targets = Vec::new();
         match self.cfg.preemption {
             Preemption::Off => {}
             Preemption::Quantum { device_cycles } => {
-                for (s, dce) in dces.iter_mut().enumerate() {
+                for (s, dce) in dces.iter().enumerate() {
                     let Some(victim) = self.kickable_victim(s, dce) else {
                         continue;
                     };
                     let Some(since) = dce.active_since() else {
                         continue;
                     };
-                    if dce.cycle().saturating_sub(since) < device_cycles {
-                        continue;
-                    }
                     // Waiting work can be a queued head *or* a chunk
                     // already posted behind the active descriptor in
                     // this shard's FIFO ring — with a deep ring the
@@ -1102,10 +1111,7 @@ impl Runtime {
                     if (consider_queued && self.other_waiter_exists(s, victim))
                         || self.ring_waiter_exists(s, victim)
                     {
-                        let seq = dce.active_seq();
-                        if dce.request_suspend() {
-                            self.note_suspend_request(s, victim, seq, now_ns);
-                        }
+                        targets.push((s, victim, since + device_cycles));
                     }
                 }
             }
@@ -1114,7 +1120,7 @@ impl Runtime {
                     // One kick per shard per edge: each shard's policy
                     // view is masked to its pinned tenants.
                     Placement::HashPin => {
-                        for (s, dce) in dces.iter_mut().enumerate() {
+                        for (s, dce) in dces.iter().enumerate() {
                             let Some(victim) = self.kickable_victim(s, dce) else {
                                 continue;
                             };
@@ -1127,7 +1133,9 @@ impl Runtime {
                                 continue;
                             }
                             let views = self.views(Some(s));
-                            self.kick_if_outranked(s, dce, victim, &views, true, now_ns);
+                            if self.outranked(s, victim, &views, true) {
+                                targets.push((s, victim, 0));
+                            }
                         }
                     }
                     // Under work-stealing, at most one shard per edge:
@@ -1145,25 +1153,21 @@ impl Runtime {
                             })
                             .collect();
                         if candidates.is_empty() {
-                            return;
+                            return targets;
                         }
                         let views = self.views(None);
                         if let Some((s, victim)) = candidates.into_iter().max_by_key(|&(s, v)| {
                             (self.policy.urgency(&views[v]), std::cmp::Reverse(s))
                         }) {
-                            self.kick_if_outranked(
-                                s,
-                                &mut dces[s],
-                                victim,
-                                &views,
-                                consider_queued,
-                                now_ns,
-                            );
+                            if self.outranked(s, victim, &views, consider_queued) {
+                                targets.push((s, victim, 0));
+                            }
                         }
                     }
                 }
             }
         }
+        targets
     }
 
     /// Whether a descriptor from a tenant other than `victim` is
@@ -1174,11 +1178,11 @@ impl Runtime {
             .any(|p| p.desc.tag.tenant != victim)
     }
 
-    /// Kick shard `s`'s in-service chunk (owned by `victim`, already
-    /// vetted by [`kickable_victim`](Self::kickable_victim)) if
-    /// strictly more urgent work is stuck behind it — either a waiting
-    /// queue head or a descriptor already posted *behind* the active
-    /// one in this shard's FIFO ring (with a deep ring, an urgent
+    /// Whether shard `s`'s in-service chunk (owned by `victim`, already
+    /// vetted by [`kickable_victim`](Self::kickable_victim)) should be
+    /// kicked: strictly more urgent work is stuck behind it — either a
+    /// waiting queue head or a descriptor already posted *behind* the
+    /// active one in this shard's FIFO ring (with a deep ring, an urgent
     /// chunk can be accepted device-side and still be hostage to the
     /// bulk chunk ahead of it). Urgency per the policy's
     /// [`QueuePolicy::urgency`] ranking over the caller's `views`.
@@ -1187,15 +1191,13 @@ impl Runtime {
     /// `consider_queued` is false when an idle shard could serve
     /// queued heads at this edge (work stealing) — only ring waiters
     /// justify a kick then.
-    fn kick_if_outranked(
-        &mut self,
+    fn outranked(
+        &self,
         s: usize,
-        dce: &mut Dce,
         victim: usize,
         views: &[QueueView],
         consider_queued: bool,
-        now_ns: f64,
-    ) {
+    ) -> bool {
         let active_urgency = self.policy.urgency(&views[victim]);
         let queued_waiter = views
             .iter()
@@ -1213,12 +1215,7 @@ impl Runtime {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        if waiter.is_some_and(|u| u < active_urgency) {
-            let seq = dce.active_seq();
-            if dce.request_suspend() {
-                self.note_suspend_request(s, victim, seq, now_ns);
-            }
-        }
+        waiter.is_some_and(|u| u < active_urgency)
     }
 
     /// Hash-pin dispatch for one shard: the policy sees only tenants

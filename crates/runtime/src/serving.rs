@@ -21,7 +21,8 @@
 
 use crate::runtime::Runtime;
 use pim_hostq::QueuePair;
-use pim_sim::{ticks_to_ns, DomainId, System, SystemConfig, TimingMode};
+use pim_mmu::Dce;
+use pim_sim::{ns_to_ticks, ticks_to_ns, DomainId, System, SystemConfig, TimingMode};
 use pim_telemetry::{Counters, SampleSeries, SloConfig, SloTracker, TelemetrySnapshot};
 
 /// Undrained device-side span events a DCE's tap can hold between ring
@@ -198,8 +199,9 @@ impl ServingSystem {
     }
 
     /// Drain every engine's span tap into the flight recorder. The ring
-    /// pollers drain taps at every poll edge; call this once after a
-    /// run so events recorded after the final poll are not stranded.
+    /// poller drains taps at the edge after each event is recorded; call
+    /// this once after a run so events recorded after the final poll are
+    /// not stranded.
     pub fn flush_spans(&mut self) {
         for dce in self.sys.engines_mut() {
             dce.drain_spans(self.runtime.recorder_mut());
@@ -252,6 +254,12 @@ impl ServingSystem {
     /// machine. Poll-before-dispatch at a shared edge is the
     /// synchronous handshake's completion-then-submit ordering.
     pub fn step(&mut self) {
+        #[cfg(feature = "sanitize")]
+        {
+            let (decide, poll) = self.host_horizons();
+            self.sys
+                .sanitize_check_external(&[(self.dom, decide), (self.poller, poll)]);
+        }
         let pending = self.sys.pending();
         let now_ns = ticks_to_ns(pending.now);
         // Host-side wall-time credit (self-profile only; None otherwise
@@ -305,13 +313,12 @@ impl ServingSystem {
         }
         if pending.contains(self.poller) {
             let t0 = timer();
-            let missed = self.sys.pending_missed(self.poller);
+            // Poll edges slept through had nothing to drain or field:
+            // count them, so the rings' poll counters match a poller
+            // that ran every edge.
+            self.sync_polls(self.sys.clock_domains().pending_edge(self.poller));
             for s in 0..self.runtime.config().shards {
-                let qp = &mut self.runtime.queue_pairs_mut()[s];
-                if missed > 0 {
-                    qp.skip_polls(missed);
-                }
-                qp.tick_poll();
+                self.runtime.queue_pairs_mut()[s].tick_poll();
                 let dce = &mut self.sys.engines_mut()[s];
                 self.runtime.poll_shard(s, dce, now_ns);
             }
@@ -351,54 +358,99 @@ impl ServingSystem {
             self.sys.credit_domain_wall_ns(self.dom, elapsed(t0));
         }
         self.sys.step();
-        self.set_host_horizons();
+        let host_fired = pending.contains(self.dom) || pending.contains(self.poller);
+        self.set_host_horizons(host_fired);
+    }
+
+    /// Count every ring's poll edges up to `edges` poller edges.
+    fn sync_polls(&mut self, edges: u64) {
+        for qp in self.runtime.queue_pairs_mut() {
+            qp.skip_polls(edges.saturating_sub(qp.stats().polls));
+        }
     }
 
     /// Re-aim the two host-side domains after a step (event-driven mode
-    /// only). Three states, narrowest sleep wins:
-    ///
-    /// * **Quiescent** (no queued jobs, no suspended remainder, rings
-    ///   idle): both domains sleep until the first edge that can observe
-    ///   the next arrival, or park for good when every generator is
-    ///   exhausted.
-    /// * **Stalled on the driver** (queued jobs but every shard's
-    ///   driver busy, rings idle, engines idle): every dispatch edge
-    ///   provably early-outs until the earliest `driver_ready_ns`, so
-    ///   both domains sleep until that or the next arrival — whichever
-    ///   is first. This is what keeps sustained small-job traffic from
-    ///   spinning the host through each ~3.5 µs driver window.
-    /// * Otherwise both domains run every edge (kick preemption watches
-    ///   ring waiters, pollers drain live engines).
-    fn set_host_horizons(&mut self) {
+    /// only) at their [horizons](Self::host_horizons). A horizon can
+    /// only move when a host domain acted or an engine left something
+    /// for the poller; otherwise the armed wakes stand, and a domain
+    /// whose horizon did not move is not re-aimed.
+    fn set_host_horizons(&mut self, host_fired: bool) {
         if self.sys.cfg.timing != TimingMode::EventDriven {
             return;
         }
-        if self.runtime.host_quiescent() {
-            let na = self.runtime.next_arrival_ns();
-            self.sys.set_domain_horizon_ns(self.dom, na);
-            self.sys.set_domain_horizon_ns(self.poller, na);
+        if !host_fired && !self.sys.engines().iter().any(Dce::awaits_poll) {
             return;
         }
-        if self.sys.engines_idle() {
-            if let Some(ready) = self.runtime.driver_stall_ns(self.sys.now_ns()) {
-                let wake = self
-                    .runtime
-                    .next_arrival_ns()
-                    .map_or(ready, |na| na.min(ready));
-                self.sys.set_domain_horizon_ns(self.dom, Some(wake));
-                self.sys.set_domain_horizon_ns(self.poller, Some(wake));
-                return;
-            }
-        }
-        self.sys.arm_domain(self.dom);
-        self.sys.arm_domain(self.poller);
+        let (decide, poll) = self.host_horizons();
+        self.sys.set_domain_horizon(self.dom, decide);
+        self.sys.set_domain_horizon(self.poller, poll);
     }
 
-    /// Run until `horizon_ns` of simulated time has elapsed.
+    /// The first edges at which the decision clock and the ring poller
+    /// can act, derived from scratch from the state the last step left:
+    /// `(runtime, hostq)`, `None` for a domain with nothing to do.
+    ///
+    /// * The **poller** acts on the edge after an engine holds an
+    ///   undrained retirement record or span event, and at a ring's
+    ///   interrupt-coalescing deadline. Between those a poll drains
+    ///   nothing, reaps nothing and fields nothing.
+    /// * The **decision clock** acts at the earliest of: the next
+    ///   arrival; the first time a shard's driver is ready while it has a
+    ///   free ring slot and work to take; every poller wake (a fielded
+    ///   interrupt frees a slot, settles jobs and can change which chunk
+    ///   is kickable, and the dispatch must see it at the same edge);
+    ///   and the edge a preemption comes due — at once for a priority
+    ///   kick, at the quantum's expiry for a time slice.
+    fn host_horizons(&self) -> (Option<u64>, Option<u64>) {
+        let clocks = self.sys.clock_domains();
+        let t = self.sys.now_ticks();
+        // The first edge of `d` strictly after the step just taken.
+        let next = |d: DomainId| clocks.edges_through(d, t);
+        let at_tick = |d: DomainId, tick: u64| clocks.edge_at_or_after(d, tick).max(next(d));
+        let at_ns = |d: DomainId, ns: f64| clocks.edge_at_or_after_ns(d, ns).max(next(d));
+        let engines_hold_output = self.sys.engines().iter().any(Dce::awaits_poll);
+        let poll = [
+            engines_hold_output.then(|| next(self.poller)),
+            self.runtime
+                .interrupt_due_ns()
+                .map(|ns| at_ns(self.poller, ns)),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let decide = poll
+            .map(|e| at_tick(self.dom, clocks.edge_tick(self.poller, e)))
+            .into_iter()
+            .chain(
+                [
+                    self.runtime.next_arrival_ns(),
+                    self.runtime.dispatch_ready_ns(),
+                ]
+                .into_iter()
+                .flatten()
+                .map(|ns| at_ns(self.dom, ns)),
+            )
+            .chain(
+                self.runtime
+                    .preemption_due(self.sys.engines())
+                    .into_iter()
+                    .map(|(s, cycle)| at_tick(self.dom, self.sys.engine_cycle_tick(s, cycle))),
+            )
+            .min();
+        (decide, poll)
+    }
+
+    /// Run until `horizon_ns` of simulated time has elapsed: every
+    /// event strictly before the horizon is processed, then the engines'
+    /// clocks and the rings' poll counts are caught up to it — so what
+    /// the run leaves does not depend on which edges were armed.
     pub fn run_for(&mut self, horizon_ns: f64) {
-        while self.sys.now_ns() < horizon_ns {
+        let horizon = ns_to_ticks(horizon_ns);
+        while self.sys.pending().now < horizon {
             self.step();
         }
+        self.sys.sync_engines_to(horizon);
+        self.sync_polls(self.sys.clock_domains().edges_before(self.poller, horizon));
     }
 
     /// Run until the runtime is fully drained (no future arrivals, empty
@@ -412,6 +464,33 @@ impl ServingSystem {
             self.step();
         }
         self.runtime.drained()
+    }
+}
+
+/// Fault injection for the scheduler shadow checker (see
+/// [`pim_sim::sanitize`]): it must flag a host domain left parked with
+/// work, exactly as it flags a machine component.
+#[cfg(feature = "sanitize")]
+impl ServingSystem {
+    /// Collect checker findings instead of panicking (see
+    /// [`System::sanitize_record_only`]).
+    pub fn sanitize_record_only(&mut self) {
+        self.sys.sanitize_record_only();
+    }
+
+    /// Inject a **lost host wakeup**: park the ring poller while an
+    /// engine holds a retirement record it has not drained. The next
+    /// `step` must flag it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no engine holds an undrained record or span event.
+    pub fn sanitize_inject_lost_poller_wakeup(&mut self) {
+        assert!(
+            self.sys.engines().iter().any(Dce::awaits_poll),
+            "an engine must hold a record for the park to lose"
+        );
+        self.sys.set_domain_horizon(self.poller, None);
     }
 }
 

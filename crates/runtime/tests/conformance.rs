@@ -1,7 +1,8 @@
 //! The cross-policy conformance suite: one parameterized set of
 //! invariants instantiated over **every scheduling policy × both shard
-//! placements × all three preemption modes** (and one- and multi-shard
-//! engine arrays), so a new policy, placement or preemption mode is
+//! placements × all three preemption modes × sweep continuation on/off ×
+//! channel affinity on/off** (and one- and multi-shard engine arrays),
+//! so a new policy, placement, preemption mode or dispatch hint is
 //! automatically held to the same contract:
 //!
 //! * **exactly-once / loss-free** — the completed job ids are exactly
@@ -68,12 +69,18 @@ fn mixed_tenants() -> (Vec<TenantSpec>, Vec<u64>) {
     (tenants, expected)
 }
 
+/// The dispatch-hint axis: `(sweep_continuation, channel_affinity)`.
+/// Continued chunks retire chain-silent (no interrupt), and affinity
+/// redirects least-loaded ties — both change what the rings see.
+const HINTS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
 fn build(
     policy: &str,
     placement: Placement,
     preemption: Preemption,
     shards: usize,
     depth: usize,
+    (sweep_continuation, channel_affinity): (bool, bool),
 ) -> (Runtime, Vec<u64>) {
     let (tenants, expected) = mixed_tenants();
     let cfg = RuntimeConfig {
@@ -86,6 +93,8 @@ fn build(
         shards,
         placement,
         preemption,
+        sweep_continuation,
+        channel_affinity,
         ..RuntimeConfig::default()
     };
     let rt = Runtime::new(cfg, tenants, policy_by_name(policy, 4_096).unwrap());
@@ -101,14 +110,18 @@ fn every_policy_placement_and_preemption_mode_meets_the_contract() {
         for placement in Placement::ALL {
             for preemption in preemption_modes() {
                 for shards in [1usize, 3] {
-                    for depth in [1usize, 2] {
+                    for (depth, hints) in
+                        [1usize, 2].into_iter().flat_map(|d| HINTS.map(|h| (d, h)))
+                    {
                         let label = format!(
-                            "{policy}/{}/{}/N={shards}/d={depth}",
+                            "{policy}/{}/{}/N={shards}/d={depth}/continuation={}/affinity={}",
                             placement.name(),
-                            preemption.name()
+                            preemption.name(),
+                            hints.0,
+                            hints.1
                         );
                         let (mut rt, expected) =
-                            build(policy, placement, preemption, shards, depth);
+                            build(policy, placement, preemption, shards, depth, hints);
                         let drained = run_to_drain_sharded(&mut rt, 20, 3_000_000);
                         assert!(drained.is_some(), "{label}: never drained");
 
@@ -175,7 +188,15 @@ fn every_policy_placement_and_preemption_mode_meets_the_contract() {
 /// tenants wait).
 #[test]
 fn preemption_modes_actually_preempt_in_the_conformance_scenario() {
-    let (mut kicked, _) = build("prio", Placement::HashPin, Preemption::PriorityKick, 1, 1);
+    let plain = HINTS[0];
+    let (mut kicked, _) = build(
+        "prio",
+        Placement::HashPin,
+        Preemption::PriorityKick,
+        1,
+        1,
+        plain,
+    );
     run_to_drain_sharded(&mut kicked, 20, 3_000_000).expect("drains");
     assert!(
         kicked.preemptions() > 0,
@@ -195,6 +216,7 @@ fn preemption_modes_actually_preempt_in_the_conformance_scenario() {
             },
             1,
             1,
+            plain,
         );
         run_to_drain_sharded(&mut rt, 20, 3_000_000).expect("drains");
         assert!(
@@ -206,7 +228,14 @@ fn preemption_modes_actually_preempt_in_the_conformance_scenario() {
     // PriorityKick degenerates to Off for policies with no urgency
     // notion.
     for policy in ["fcfs", "sjf", "drr"] {
-        let (mut rt, _) = build(policy, Placement::HashPin, Preemption::PriorityKick, 1, 1);
+        let (mut rt, _) = build(
+            policy,
+            Placement::HashPin,
+            Preemption::PriorityKick,
+            1,
+            1,
+            plain,
+        );
         run_to_drain_sharded(&mut rt, 20, 3_000_000).expect("drains");
         assert_eq!(
             rt.preemptions(),
@@ -230,6 +259,8 @@ proptest! {
         preempt_sel in 0usize..3,
         shards in 1usize..4,
         depth in 1usize..4,
+        sweep_continuation in any::<bool>(),
+        channel_affinity in any::<bool>(),
     ) {
         let policy = POLICY_NAMES[policy_sel];
         let placement = Placement::ALL[placement_sel];
@@ -244,6 +275,8 @@ proptest! {
                 shards,
                 placement,
                 preemption,
+                sweep_continuation,
+                channel_affinity,
                 ..RuntimeConfig::default()
             };
             let mut tenants = vec![

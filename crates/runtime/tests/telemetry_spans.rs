@@ -1,6 +1,10 @@
 //! Span-event conservation: the flight recorder's story must agree
 //! with the runtime's own accounting, for **every scheduling policy ×
-//! all three preemption modes** on a sharded engine array.
+//! all three preemption modes × sweep continuation on/off × channel
+//! affinity on/off** on a sharded engine array. Continued chunks retire
+//! chain-silent — no interrupt, the stage boundary the latency
+//! waterfall partitions on — so the continuation axis is where the
+//! span story and the ring's interrupt accounting could part ways.
 //!
 //! For a drained run with tracing on:
 //!
@@ -25,7 +29,7 @@
 
 use pim_runtime::testkit::{quick_driver, run_to_drain_sharded, trace_tenant};
 use pim_runtime::{
-    policy_by_name, Attribution, DropPolicy, HostQueueConfig, Preemption, Rng, Runtime,
+    policy_by_name, Attribution, DropPolicy, HostQueueConfig, Placement, Preemption, Rng, Runtime,
     RuntimeConfig, SpanKind, Stage, TelemetryConfig, TenantSpec, NO_JOB, POLICY_NAMES,
 };
 
@@ -53,11 +57,16 @@ fn mixed_tenants() -> Vec<TenantSpec> {
         .collect()
 }
 
-fn build_sharded(
+/// The dispatch-hint axis: `(sweep_continuation, channel_affinity)`.
+/// Affinity is a least-loaded tie-break, so its cells place that way.
+const HINTS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+fn build_hinted(
     policy: &str,
     preemption: Preemption,
     telemetry: TelemetryConfig,
     shards: usize,
+    (sweep_continuation, channel_affinity): (bool, bool),
 ) -> Runtime {
     let cfg = RuntimeConfig {
         chunk_bytes: 16 << 10,
@@ -67,9 +76,25 @@ fn build_sharded(
         shards,
         preemption,
         telemetry,
+        sweep_continuation,
+        channel_affinity,
+        placement: if channel_affinity {
+            Placement::LeastLoaded
+        } else {
+            Placement::HashPin
+        },
         ..RuntimeConfig::default()
     };
     Runtime::new(cfg, mixed_tenants(), policy_by_name(policy, 4_096).unwrap())
+}
+
+fn build_sharded(
+    policy: &str,
+    preemption: Preemption,
+    telemetry: TelemetryConfig,
+    shards: usize,
+) -> Runtime {
+    build_hinted(policy, preemption, telemetry, shards, HINTS[0])
 }
 
 fn build(policy: &str, preemption: Preemption, telemetry: TelemetryConfig) -> Runtime {
@@ -82,118 +107,126 @@ fn count(rt: &Runtime, kind: SpanKind) -> u64 {
 
 #[test]
 fn span_events_are_conserved_across_policies_and_preemption_modes() {
-    for policy in POLICY_NAMES {
-        for preemption in Preemption::modes(QUANTUM_CYCLES) {
-            let label = format!("{policy}/{}", preemption.name());
-            let mut rt = build(policy, preemption, TelemetryConfig::on());
-            let records = run_to_drain_sharded(&mut rt, 4, 3_000_000)
-                .unwrap_or_else(|| panic!("{label}: must drain"));
+    let cells = POLICY_NAMES.iter().flat_map(|&policy| {
+        Preemption::modes(QUANTUM_CYCLES)
+            .into_iter()
+            .flat_map(move |preemption| HINTS.map(|hints| (policy, preemption, hints)))
+    });
+    for (policy, preemption, hints) in cells {
+        let label = format!(
+            "{policy}/{}/continuation={}/affinity={}",
+            preemption.name(),
+            hints.0,
+            hints.1
+        );
+        let mut rt = build_hinted(policy, preemption, TelemetryConfig::on(), 2, hints);
+        let records = run_to_drain_sharded(&mut rt, 4, 3_000_000)
+            .unwrap_or_else(|| panic!("{label}: must drain"));
 
-            assert_eq!(rt.recorder().dropped(), 0, "{label}: recorder overflowed");
-            assert_eq!(
-                count(&rt, SpanKind::Arrival),
-                TOTAL_JOBS,
-                "{label}: arrivals"
-            );
-            assert_eq!(
-                count(&rt, SpanKind::Enqueue),
-                TOTAL_JOBS,
-                "{label}: enqueues"
-            );
-            assert_eq!(
-                count(&rt, SpanKind::Complete),
-                records.len() as u64,
-                "{label}: completes"
-            );
+        assert_eq!(rt.recorder().dropped(), 0, "{label}: recorder overflowed");
+        assert_eq!(
+            count(&rt, SpanKind::Arrival),
+            TOTAL_JOBS,
+            "{label}: arrivals"
+        );
+        assert_eq!(
+            count(&rt, SpanKind::Enqueue),
+            TOTAL_JOBS,
+            "{label}: enqueues"
+        );
+        assert_eq!(
+            count(&rt, SpanKind::Complete),
+            records.len() as u64,
+            "{label}: completes"
+        );
 
-            let picks = count(&rt, SpanKind::DispatchPick);
-            assert_eq!(
-                picks,
-                rt.chunks_dispatched(),
-                "{label}: picks vs dispatches"
-            );
-            assert_eq!(
-                count(&rt, SpanKind::DeviceStart),
-                picks,
-                "{label}: every pick installs exactly once"
-            );
-            assert_eq!(
-                count(&rt, SpanKind::DeviceStart),
-                count(&rt, SpanKind::Retire) + count(&rt, SpanKind::Suspend),
-                "{label}: every engine occupancy closes"
-            );
+        let picks = count(&rt, SpanKind::DispatchPick);
+        assert_eq!(
+            picks,
+            rt.chunks_dispatched(),
+            "{label}: picks vs dispatches"
+        );
+        assert_eq!(
+            count(&rt, SpanKind::DeviceStart),
+            picks,
+            "{label}: every pick installs exactly once"
+        );
+        assert_eq!(
+            count(&rt, SpanKind::DeviceStart),
+            count(&rt, SpanKind::Retire) + count(&rt, SpanKind::Suspend),
+            "{label}: every engine occupancy closes"
+        );
 
-            let suspends = count(&rt, SpanKind::Suspend);
-            assert_eq!(
-                suspends,
-                rt.preemptions(),
-                "{label}: suspends vs preemptions"
-            );
-            assert_eq!(count(&rt, SpanKind::Recall), suspends, "{label}: recalls");
-            assert_eq!(count(&rt, SpanKind::Resume), suspends, "{label}: resumes");
-            assert_eq!(rt.resumes(), suspends, "{label}: runtime resume counter");
-            assert!(
-                suspends <= count(&rt, SpanKind::SuspendRequest),
-                "{label}: no suspension without a host request"
-            );
-            if preemption == Preemption::Off {
-                assert_eq!(suspends, 0, "{label}: off mode must never suspend");
-            }
+        let suspends = count(&rt, SpanKind::Suspend);
+        assert_eq!(
+            suspends,
+            rt.preemptions(),
+            "{label}: suspends vs preemptions"
+        );
+        assert_eq!(count(&rt, SpanKind::Recall), suspends, "{label}: recalls");
+        assert_eq!(count(&rt, SpanKind::Resume), suspends, "{label}: resumes");
+        assert_eq!(rt.resumes(), suspends, "{label}: runtime resume counter");
+        assert!(
+            suspends <= count(&rt, SpanKind::SuspendRequest),
+            "{label}: no suspension without a host request"
+        );
+        if preemption == Preemption::Off {
+            assert_eq!(suspends, 0, "{label}: off mode must never suspend");
+        }
 
-            let host = rt.host_stats();
-            assert_eq!(
-                count(&rt, SpanKind::Doorbell),
-                host.doorbells,
-                "{label}: doorbells"
-            );
-            assert_eq!(
-                count(&rt, SpanKind::Interrupt),
-                host.interrupts,
-                "{label}: interrupts"
-            );
+        let host = rt.host_stats();
+        assert_eq!(
+            count(&rt, SpanKind::Doorbell),
+            host.doorbells,
+            "{label}: doorbells"
+        );
+        assert_eq!(
+            count(&rt, SpanKind::Interrupt),
+            host.interrupts,
+            "{label}: interrupts"
+        );
 
-            // Byte conservation, per job: arrival bytes == complete
-            // bytes, and the device-side story (retired + suspended
-            // bytes of chunks joined through their picks) sums to it.
-            for rec in &records {
-                let arr: Vec<_> = rt
-                    .recorder()
-                    .iter()
-                    .filter(|e| e.kind == SpanKind::Arrival && e.job == rec.id)
-                    .collect();
-                assert_eq!(arr.len(), 1, "{label}: job {} arrival", rec.id);
-                assert_eq!(arr[0].bytes, rec.bytes, "{label}: job {} bytes", rec.id);
-                let done: u64 = rt
-                    .recorder()
-                    .iter()
-                    .filter(|e| e.kind == SpanKind::Complete && e.job == rec.id)
-                    .map(|e| e.bytes)
-                    .sum();
-                assert_eq!(done, rec.bytes, "{label}: job {} completed bytes", rec.id);
-            }
-
-            // Device-side bytes (every retire + every suspension's
-            // partial) must cover exactly the submitted volume.
-            let device_bytes: u64 = rt
+        // Byte conservation, per job: arrival bytes == complete
+        // bytes, and the device-side story (retired + suspended
+        // bytes of chunks joined through their picks) sums to it.
+        for rec in &records {
+            let arr: Vec<_> = rt
                 .recorder()
                 .iter()
-                .filter(|e| matches!(e.kind, SpanKind::Retire | SpanKind::Suspend))
+                .filter(|e| e.kind == SpanKind::Arrival && e.job == rec.id)
+                .collect();
+            assert_eq!(arr.len(), 1, "{label}: job {} arrival", rec.id);
+            assert_eq!(arr[0].bytes, rec.bytes, "{label}: job {} bytes", rec.id);
+            let done: u64 = rt
+                .recorder()
+                .iter()
+                .filter(|e| e.kind == SpanKind::Complete && e.job == rec.id)
                 .map(|e| e.bytes)
                 .sum();
-            let submitted: u64 = records.iter().map(|r| r.bytes).sum();
-            assert_eq!(device_bytes, submitted, "{label}: device-side byte ledger");
+            assert_eq!(done, rec.bytes, "{label}: job {} completed bytes", rec.id);
+        }
 
-            // Every event the hot path stamped has a plausible tag:
-            // job-tagged events reference submitted ids.
-            for e in rt.recorder().iter() {
-                if e.job != NO_JOB {
-                    assert!(
-                        records.iter().any(|r| r.id == e.job),
-                        "{label}: {:?} references unknown job {}",
-                        e.kind,
-                        e.job
-                    );
-                }
+        // Device-side bytes (every retire + every suspension's
+        // partial) must cover exactly the submitted volume.
+        let device_bytes: u64 = rt
+            .recorder()
+            .iter()
+            .filter(|e| matches!(e.kind, SpanKind::Retire | SpanKind::Suspend))
+            .map(|e| e.bytes)
+            .sum();
+        let submitted: u64 = records.iter().map(|r| r.bytes).sum();
+        assert_eq!(device_bytes, submitted, "{label}: device-side byte ledger");
+
+        // Every event the hot path stamped has a plausible tag:
+        // job-tagged events reference submitted ids.
+        for e in rt.recorder().iter() {
+            if e.job != NO_JOB {
+                assert!(
+                    records.iter().any(|r| r.id == e.job),
+                    "{label}: {:?} references unknown job {}",
+                    e.kind,
+                    e.job
+                );
             }
         }
     }
@@ -209,9 +242,17 @@ fn span_events_are_conserved_across_policies_and_preemption_modes() {
 fn attribution_conserves_latency_across_policies_and_shards() {
     for policy in POLICY_NAMES {
         for preemption in Preemption::modes(QUANTUM_CYCLES) {
-            for shards in [1usize, 2, 4] {
-                let label = format!("{policy}/{}/{shards}-shard", preemption.name());
-                let mut rt = build_sharded(policy, preemption, TelemetryConfig::on(), shards);
+            for (shards, hints) in [1usize, 2, 4]
+                .into_iter()
+                .flat_map(|n| HINTS.map(|h| (n, h)))
+            {
+                let label = format!(
+                    "{policy}/{}/{shards}-shard/continuation={}/affinity={}",
+                    preemption.name(),
+                    hints.0,
+                    hints.1
+                );
+                let mut rt = build_hinted(policy, preemption, TelemetryConfig::on(), shards, hints);
                 let records = run_to_drain_sharded(&mut rt, 4, 3_000_000)
                     .unwrap_or_else(|| panic!("{label}: must drain"));
                 assert_eq!(rt.recorder().dropped(), 0, "{label}: ring overflowed");

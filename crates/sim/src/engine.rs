@@ -317,6 +317,17 @@ impl ClockDomains {
         self.prune();
     }
 
+    /// Index of `d`'s first grid edge at or after tick `t`.
+    pub fn edge_at_or_after(&self, d: DomainId, t: u64) -> u64 {
+        self.domains[d.0].edge_at_or_after(t)
+    }
+
+    /// The tick of `d`'s grid edge `e`.
+    pub fn edge_tick(&self, d: DomainId, e: u64) -> u64 {
+        let dom = &self.domains[d.0];
+        dom.origin + e * dom.period
+    }
+
     /// Index of `d`'s first grid edge whose tick converts to at least
     /// `ns` nanoseconds under [`ticks_to_ns`] — the same f64 conversion
     /// edge-indexed participants use for their own notion of time, so a

@@ -10,7 +10,7 @@
 //! (a *stale horizon*).
 //!
 //! Under the `sanitize` feature, [`System::step`](crate::System::step)
-//! shadow-checks the scheduler after **every** event:
+//! shadow-checks the scheduler around **every** event:
 //!
 //! 1. **monotonic events** — the agenda never moves time backwards;
 //! 2. **no domain armed in the past** — every armed domain's pending
@@ -22,7 +22,14 @@
 //!    ([`CpuCluster`], [`Dce`] and [`MemController`]); a domain
 //!    whose component reports work at edge `e` must be armed, at an
 //!    edge no later than `e` (a parked domain with work is a lost
-//!    wakeup; an armed one aimed past `e` is a stale horizon);
+//!    wakeup; an armed one aimed past `e` is a stale horizon). This
+//!    check runs as a step *begins*, so it also covers what a composer
+//!    changed between steps (a dispatch that must wake an engine). A
+//!    composer holds its own registered domains to the same rule by
+//!    re-deriving their horizons and passing them to
+//!    [`System::sanitize_check_external`](crate::System::sanitize_check_external)
+//!    — the serving composer does so for its `runtime` and `hostq`
+//!    domains before every step;
 //! 5. **agenda head** — the heap's next edge equals the minimum armed
 //!    `next()` over all domains (stale-entry pruning never let the
 //!    head rot).

@@ -203,12 +203,6 @@ impl System {
         &mut self.engines
     }
 
-    /// Whether every engine is [idle](Dce::idle) — nothing active,
-    /// pending, or awaiting a completion drain anywhere in the array.
-    pub fn engines_idle(&self) -> bool {
-        self.engines.iter().all(Dce::idle)
-    }
-
     /// DRAM-side controllers.
     pub fn dram_controllers(&self) -> &[MemController] {
         &self.dram
@@ -321,23 +315,40 @@ impl System {
     /// Catch every engine's clock up to its cycle count at tick `now`
     /// exclusive (edges strictly before `now`), so composer-side reads
     /// of [`Dce::cycle`] (e.g. posted-cycle stamps on dispatch) are
-    /// exact even if an engine's domain slept. No-op when caught up.
+    /// exact even if an engine's domain slept, and so a host input at
+    /// `now` (a suspend request, a queued descriptor) lands after the
+    /// engine's counters were credited for the cycles it slept in its
+    /// old state. No-op when caught up.
     pub fn sync_engines_to(&mut self, now: u64) {
         for s in 0..self.engines.len() {
             let target = self.clocks.edges_before(self.domains.dce[s], now);
-            let dce = &mut self.engines[s];
-            let deficit = target.saturating_sub(dce.cycle());
-            if deficit > 0 {
-                dce.skip_cycles(deficit);
-            }
+            Self::catch_up_engine(&mut self.engines[s], target);
         }
     }
 
-    /// Re-arm the domain of every engine holding work (one with an
-    /// event horizon: an active job or queued descriptors) at its first
-    /// edge at or after tick `now` — the wake half of the
-    /// doorbell/submit protocol. No-op for armed domains that are
-    /// already due earlier.
+    /// Skip `dce` forward to engine cycle `target` (no-op if it is there).
+    fn catch_up_engine(dce: &mut Dce, target: u64) {
+        let deficit = target.saturating_sub(dce.cycle());
+        if deficit > 0 {
+            dce.skip_cycles(deficit);
+        }
+    }
+
+    /// The first tick at which engine `s`'s clock, caught up by
+    /// [`sync_engines_to`](Self::sync_engines_to), reads at least
+    /// `cycle` — when a host deadline stated in engine cycles (a
+    /// preemption quantum) comes due.
+    pub fn engine_cycle_tick(&self, s: usize, cycle: u64) -> u64 {
+        cycle
+            .checked_sub(1)
+            .map_or(0, |c| self.clocks.edge_tick(self.domains.dce[s], c) + 1)
+    }
+
+    /// Re-arm the domain of every engine that can act (one with an
+    /// event horizon: a newly installed descriptor, a fusible
+    /// continuation, a suspension ready to quiesce) at its first edge at
+    /// or after tick `now` — the wake half of the doorbell/submit
+    /// protocol. No-op for armed domains that are already due earlier.
     pub fn wake_engines(&mut self, now: u64) {
         for (e, &dom) in self.engines.iter().zip(&self.domains.dce) {
             if e.next_event_cycle().is_some() {
@@ -346,32 +357,33 @@ impl System {
         }
     }
 
-    /// Set an external domain's horizon: `None` parks it, `Some(ns)`
-    /// defers it to its first edge whose tick-to-ns conversion is at or
-    /// past `ns` (so an edge-indexed participant computing time as
-    /// `ticks_to_ns(edge * period)` observes `>= ns` on its wake edge).
+    /// Aim an external domain's next delivery at its grid edge `edge`
+    /// (clamped to its first undelivered edge), or park it with `None`.
     /// Composers own their registered domains' horizons; the machine's
-    /// internal domains are managed by [`step`](Self::step) itself.
-    pub fn set_domain_horizon_ns(&mut self, d: DomainId, ns: Option<f64>) {
-        match ns {
-            None => self.clocks.park(d),
-            Some(ns) => {
-                let e = self.clocks.edge_at_or_after_ns(d, ns);
-                self.clocks.defer_to_edge(d, e);
+    /// internal domains are managed by [`step`](Self::step) itself. A
+    /// domain already aimed there is left alone, so an unchanged horizon
+    /// costs no agenda push.
+    pub fn set_domain_horizon(&mut self, d: DomainId, edge: Option<u64>) {
+        match edge {
+            None if self.clocks.armed(d) => self.clocks.park(d),
+            None => {}
+            Some(e) => {
+                let e = e.max(self.clocks.delivered(d));
+                if !self.clocks.armed(d) || self.clocks.pending_edge(d) != e {
+                    self.clocks.defer_to_edge(d, e);
+                }
             }
         }
-    }
-
-    /// Re-arm an external domain at every edge from its first
-    /// undelivered one on (the busy horizon).
-    pub fn arm_domain(&mut self, d: DomainId) {
-        let e = self.clocks.delivered(d);
-        self.clocks.defer_to_edge(d, e);
     }
 
     /// Current simulated time in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         ticks_to_ns(self.t)
+    }
+
+    /// The tick of the last event processed (0 before the first step).
+    pub fn now_ticks(&self) -> u64 {
+        self.t
     }
 
     /// Drain a request source's `outbox` front-first into the controller
@@ -433,6 +445,11 @@ impl System {
     /// queue slots, or after a source ticked). `ticked` carries the
     /// current step's phase position (see
     /// [`drain_requests`](Self::drain_requests)).
+    ///
+    /// Refills run after the engines' phase, so an engine whose full
+    /// outbox drains here is caught up through `t` first (room in the
+    /// outbox changes which of its slept cycles count as buffer stalls)
+    /// and woken at its next edge if the room lets it issue.
     fn refill_controller_queues(&mut self, ticked: PhasePos) {
         let t = self.t;
         Self::drain_requests(
@@ -444,7 +461,11 @@ impl System {
             t,
             ticked,
         );
-        for dce in &mut self.engines {
+        for (dce, &dom) in self.engines.iter_mut().zip(&self.domains.dce) {
+            let was_full = dce.outbox_full();
+            if was_full {
+                Self::catch_up_engine(dce, self.clocks.edges_through(dom, t));
+            }
             Self::drain_requests(
                 dce.outbox_mut(),
                 &mut self.dram,
@@ -454,6 +475,9 @@ impl System {
                 t,
                 ticked,
             );
+            if was_full && !dce.outbox_full() && dce.next_event_cycle().is_some() {
+                self.clocks.wake_at(dom, t + 1);
+            }
         }
     }
 
@@ -462,6 +486,11 @@ impl System {
     /// domain's delivered-edge count minus one: each controller is first
     /// caught up over any edges skipped while it was quiescent, so its
     /// clock entering the tick equals the cycle-stepped driver's.
+    ///
+    /// An engine completion is a cross-domain input. The engines' phase
+    /// at `t` already ran, so a parked engine is caught up through `t`
+    /// in its pre-completion state, then woken at its first edge after
+    /// `t` if the completion lets it act.
     fn tick_controllers(&mut self, space: MemSpace, target: u64) {
         let ctrls = match space {
             MemSpace::Dram => &mut self.dram,
@@ -476,12 +505,19 @@ impl System {
             c.tick();
             done.extend(c.drain_completions());
         }
+        let t = self.t;
         for c in done {
             // Engine traffic is tagged DCE_SOURCE + shard: route the
             // completion back to the shard that issued the request.
             let shard = c.source.0.wrapping_sub(DCE_SOURCE) as usize;
             if c.source.0 >= DCE_SOURCE && shard < self.engines.len() {
-                self.engines[shard].on_completion(c);
+                let dom = self.domains.dce[shard];
+                let dce = &mut self.engines[shard];
+                Self::catch_up_engine(dce, self.clocks.edges_through(dom, t));
+                dce.on_completion(c);
+                if dce.next_event_cycle().is_some() {
+                    self.clocks.wake_at(dom, t + 1);
+                }
             } else {
                 self.cluster.on_completion(c);
             }
@@ -518,6 +554,8 @@ impl System {
     /// (under `CycleStepped` no domain is ever parked or deferred, which
     /// reproduces the reference driver exactly).
     pub fn step(&mut self) -> Fired {
+        #[cfg(feature = "sanitize")]
+        self.sanitize_horizons();
         self.stepped = true;
         let now = self.clocks.next_edge();
         self.t = now;
@@ -550,10 +588,7 @@ impl System {
                 let t0 = self.phase_timer();
                 let target = self.clocks.delivered(self.domains.dce[s]) - 1;
                 let dce = &mut self.engines[s];
-                let deficit = target.saturating_sub(dce.cycle());
-                if deficit > 0 {
-                    dce.skip_cycles(deficit);
-                }
+                Self::catch_up_engine(dce, target);
                 dce.tick();
                 Self::drain_requests(
                     dce.outbox_mut(),
@@ -876,8 +911,85 @@ impl System {
         self.clocks.park(self.domains.dram);
     }
 
-    /// Run every shadow check for the step that just completed at tick
-    /// `now` (checks 1–5 of [`crate::sanitize`]).
+    /// Inject a **lost engine wakeup**: park engine `s`'s domain even
+    /// though the engine can act at its next edge (a memory completion
+    /// routed to it without the wake). The next `step` must flag it.
+    pub fn sanitize_inject_lost_engine_wakeup(&mut self, s: usize) {
+        assert!(
+            self.engines[s].next_event_cycle().is_some(),
+            "engine {s} must have work for the park to lose"
+        );
+        self.clocks.park(self.domains.dce[s]);
+    }
+
+    /// Check 4 for composer-owned domains: each `(domain, edge)` pairs
+    /// a registered domain with the grid edge its composer re-derived
+    /// from scratch (`None`: the domain has nothing to do). Findings go
+    /// to the same log as the internal domains'.
+    pub fn sanitize_check_external(&mut self, horizons: &[(DomainId, Option<u64>)]) {
+        for &(d, h) in horizons {
+            if let Some(v) = self.horizon_finding(d, h) {
+                self.sanitizer.report(v);
+            }
+        }
+    }
+
+    /// Check 4 (lost wakeup / stale horizon) for the internal domains,
+    /// run as a step begins: every component's horizon is re-derived
+    /// from the state the previous step and the composer's inputs since
+    /// left, and compared with its domain's armed wake. (The sample
+    /// domain has no component; composer-registered domains are checked
+    /// through [`sanitize_check_external`](Self::sanitize_check_external).)
+    fn sanitize_horizons(&mut self) {
+        let mut horizons: Vec<(DomainId, Option<u64>)> = vec![
+            (self.domains.cpu, self.cluster.next_event_cycle()),
+            (self.domains.dram, Self::group_horizon(&self.dram)),
+            (self.domains.pim, Self::group_horizon(&self.pim)),
+        ];
+        for (s, e) in self.engines.iter().enumerate() {
+            horizons.push((self.domains.dce[s], e.next_event_cycle()));
+        }
+        self.sanitize_check_external(&horizons);
+    }
+
+    /// The check-4 finding for domain `d` whose component needs grid
+    /// edge `h` (`None`: no work), if its armed wake disagrees.
+    fn horizon_finding(
+        &self,
+        d: DomainId,
+        h: Option<u64>,
+    ) -> Option<crate::sanitize::SanitizeViolation> {
+        use crate::sanitize::{SanitizeKind, SanitizeViolation};
+        // Horizons at or before the delivered count mean "tick me at the
+        // very next edge".
+        let want = h?.max(self.clocks.delivered(d));
+        if !self.clocks.armed(d) {
+            Some(SanitizeViolation {
+                kind: SanitizeKind::LostWakeup,
+                domain: self.clocks.label(d),
+                t: self.t,
+                detail: format!(
+                    "component needs edge {want} but its domain is parked — the work would sleep forever"
+                ),
+            })
+        } else if self.clocks.pending_edge(d) > want {
+            Some(SanitizeViolation {
+                kind: SanitizeKind::StaleHorizon,
+                domain: self.clocks.label(d),
+                t: self.t,
+                detail: format!(
+                    "armed for edge {} but the re-derived horizon is edge {want} — the wake would arrive after the work was due",
+                    self.clocks.pending_edge(d)
+                ),
+            })
+        } else {
+            None
+        }
+    }
+
+    /// Run the shadow checks for the step that just completed at tick
+    /// `now` (checks 1, 2, 3 and 5 of [`crate::sanitize`]; check 4 runs
+    /// as the next step begins).
     fn sanitize_check(&mut self, now: u64) {
         use crate::sanitize::{SanitizeKind, SanitizeViolation};
         self.sanitizer.observe_event(now);
@@ -947,45 +1059,6 @@ impl System {
                     self.clocks.edges_through(dom, now),
                     "component clock",
                 );
-            }
-        }
-
-        // Check 4: lost-wakeup / stale-horizon — re-derive every
-        // internal component's horizon from scratch and compare it with
-        // the armed wake. (The sample domain has no component and
-        // composer-registered domains manage their own horizons.)
-        let mut horizons: Vec<(DomainId, Option<u64>)> = vec![
-            (self.domains.cpu, self.cluster.next_event_cycle()),
-            (self.domains.dram, Self::group_horizon(&self.dram)),
-            (self.domains.pim, Self::group_horizon(&self.pim)),
-        ];
-        for (s, e) in self.engines.iter().enumerate() {
-            horizons.push((self.domains.dce[s], e.next_event_cycle()));
-        }
-        for (d, h) in horizons {
-            let Some(e) = h else { continue };
-            // Horizons at or before the delivered count mean "tick me
-            // at the very next edge".
-            let want = e.max(self.clocks.delivered(d));
-            if !self.clocks.armed(d) {
-                findings.push(SanitizeViolation {
-                    kind: SanitizeKind::LostWakeup,
-                    domain: self.clocks.label(d),
-                    t: now,
-                    detail: format!(
-                        "component needs edge {want} but its domain is parked — the work would sleep forever"
-                    ),
-                });
-            } else if self.clocks.pending_edge(d) > want {
-                findings.push(SanitizeViolation {
-                    kind: SanitizeKind::StaleHorizon,
-                    domain: self.clocks.label(d),
-                    t: now,
-                    detail: format!(
-                        "armed for edge {} but the re-derived horizon is edge {want} — the wake would arrive after the work was due",
-                        self.clocks.pending_edge(d)
-                    ),
-                });
             }
         }
 

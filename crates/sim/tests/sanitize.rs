@@ -3,7 +3,9 @@
 //! injected fault class (a checker that never fires proves nothing).
 #![cfg(feature = "sanitize")]
 
-use pim_sim::{run_memcpy, DesignPoint, SanitizeKind, System, SystemConfig};
+use pim_mapping::PhysAddr;
+use pim_mmu::{DceMode, PimMmuOp};
+use pim_sim::{run_memcpy, DesignPoint, SanitizeKind, System, SystemConfig, HOST_BUFFER_BASE};
 
 fn empty_system() -> System {
     // BaseDHP instantiates the full machine (DCE + both controller
@@ -84,4 +86,37 @@ fn panic_mode_aborts_on_first_finding() {
     for _ in 0..64 {
         sys.step();
     }
+}
+
+#[test]
+fn lost_engine_wakeup_injection_trips() {
+    let mut sys = empty_system();
+    sys.sanitize_record_only();
+    let op = PimMmuOp::to_pim(
+        (0..8u32).map(|i| (PhysAddr(HOST_BUFFER_BASE + u64::from(i) * 4096), i)),
+        4096,
+        0,
+    );
+    sys.engines_mut()[0].enqueue(op, DceMode::PimMs).unwrap();
+    // Run until read data sits in the engine's transpose queue: the
+    // engine can act at its next edge, so its domain must be armed.
+    let mut steps = 0;
+    while sys.engines()[0].lines_awaiting_transpose() == 0 {
+        sys.step();
+        steps += 1;
+        assert!(steps < 1_000_000, "no read data ever reached the engine");
+    }
+    assert!(
+        sys.sanitize_violations().is_empty(),
+        "clean transfer must be violation-free: {:?}",
+        sys.sanitize_violations()
+    );
+    sys.sanitize_inject_lost_engine_wakeup(0);
+    sys.step();
+    let vs = sys.sanitize_violations();
+    assert!(
+        vs.iter()
+            .any(|v| v.kind == SanitizeKind::LostWakeup && v.domain == "dce"),
+        "parked engine with a line to transpose must be flagged: {vs:?}"
+    );
 }

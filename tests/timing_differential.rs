@@ -11,7 +11,11 @@
 //! The sparse scenarios additionally assert `edges_skipped > 0` in the
 //! event-driven run, and that some engine continued a predecessor's
 //! sweep: equality is only evidence if the idle-skip machinery and the
-//! continuation path actually engaged.
+//! continuation path actually engaged. Two dense scenarios keep the
+//! engines and rings busy with a standing backlog — the regime where
+//! the engine, ring-poller and decision-clock horizons sleep between
+//! their own events rather than across idle gaps — and one scenario is
+//! cut off by `run_for` while jobs are still in flight.
 
 use pim_mmu::XferKind;
 use pim_runtime::{
@@ -180,7 +184,69 @@ fn scenario(seed: u64) -> Scenario {
     }
 }
 
-fn run_serving(sc: &Scenario, mode: TimingMode) -> (ServingSystem, bool) {
+/// A dense scenario shaped like the benchmark's `serve_small`: four
+/// tenants of 512 B jobs on the synchronous depth-1 driver, FCFS, one
+/// shard — with arrivals every 2 µs on aggregate against a ~3.5 µs
+/// driver round trip, so a backlog forms and the decision clock sleeps
+/// on the busy driver between dispatches.
+fn dense_small(seed: u64) -> Scenario {
+    let tenants = (0..4)
+        .map(|i| TenantSpec::poisson(&format!("t{i}"), 8_000.0, 64, 8))
+        .collect();
+    Scenario {
+        rt_cfg: RuntimeConfig {
+            chunk_bytes: 16 << 10,
+            open_until_ns: 40_000.0,
+            seed,
+            ..RuntimeConfig::default()
+        },
+        tenants,
+        policy: "fcfs",
+        label: format!("dense serve_small-shaped seed {seed}"),
+    }
+}
+
+/// A dense scenario shaped like the benchmark's `serve_mixed`: an
+/// urgent 4 KiB tenant beside scatter and gather bulk on two
+/// least-loaded shards with depth-4 rings, coalescing 2 @ 500 ns,
+/// strict priority with kick preemption and sweep continuation.
+fn dense_mixed(seed: u64, open_until_ns: f64) -> Scenario {
+    let bulk = |name: &str, kind: XferKind| {
+        let mut t = TenantSpec::poisson(name, 12_000.0, 1 << 10, 64);
+        t.kind = kind;
+        t
+    };
+    let mut urgent = TenantSpec::poisson("interactive", 1_000.0, 64, 64);
+    urgent.priority = 0;
+    Scenario {
+        rt_cfg: RuntimeConfig {
+            chunk_bytes: 16 << 10,
+            open_until_ns,
+            seed,
+            hostq: HostQueueConfig {
+                depth: 4,
+                coalesce_count: 2,
+                coalesce_timeout_ns: 500.0,
+                poll_period_ps: 312,
+            },
+            shards: 2,
+            placement: Placement::LeastLoaded,
+            preemption: Preemption::PriorityKick,
+            core_stride: 128,
+            sweep_continuation: true,
+            ..RuntimeConfig::default()
+        },
+        tenants: vec![
+            urgent,
+            bulk("scatter", XferKind::DramToPim),
+            bulk("gather", XferKind::PimToDram),
+        ],
+        policy: "prio",
+        label: format!("dense serve_mixed-shaped seed {seed}"),
+    }
+}
+
+fn build_serving(sc: &Scenario, mode: TimingMode) -> ServingSystem {
     let runtime = Runtime::new(
         sc.rt_cfg,
         sc.tenants
@@ -200,9 +266,23 @@ fn run_serving(sc: &Scenario, mode: TimingMode) -> (ServingSystem, bool) {
     let mut cfg = SystemConfig::table1(DesignPoint::BaseDHP);
     cfg.sample_ns = 20_000.0;
     cfg.timing = mode;
-    let mut serving = ServingSystem::new(cfg, runtime);
+    ServingSystem::new(cfg, runtime)
+}
+
+fn run_serving(sc: &Scenario, mode: TimingMode) -> (ServingSystem, bool) {
+    let mut serving = build_serving(sc, mode);
     let drained = serving.run_until_drained(5e8);
     (serving, drained)
+}
+
+/// Event-driven fires of the domain labelled `label`.
+fn fires(s: &ServingSystem, label: &str) -> u64 {
+    s.system()
+        .self_profile()
+        .iter()
+        .filter(|p| p.label == label)
+        .map(|p| p.fires)
+        .sum()
 }
 
 fn assert_serving_eq(a: &ServingSystem, b: &ServingSystem, label: &str) {
@@ -246,6 +326,22 @@ fn assert_serving_eq(a: &ServingSystem, b: &ServingSystem, label: &str) {
     assert_eq!(ha.doorbells, hb.doorbells, "{label}: doorbells");
     assert_eq!(ha.interrupts, hb.interrupts, "{label}: interrupts");
     assert_eq!(ha.max_in_flight, hb.max_in_flight, "{label}: max in flight");
+    // Every ring counter (polls, chain-silent completions, coalescer
+    // causes, recalls, in-flight sums) and every engine counter (busy,
+    // buffer-stall and drain cycles included), shard by shard.
+    for (s, (qa, qb)) in ra.queue_pairs().iter().zip(rb.queue_pairs()).enumerate() {
+        assert_eq!(qa.stats(), qb.stats(), "{label}: shard {s} ring stats");
+    }
+    let (ea, eb) = (a.system().engines(), b.system().engines());
+    assert_eq!(ea.len(), eb.len(), "{label}: engine count");
+    for (s, (x, y)) in ea.iter().zip(eb).enumerate() {
+        assert_eq!(x.stats(), y.stats(), "{label}: shard {s} engine stats");
+    }
+    assert_eq!(
+        ra.missed_dispatches(),
+        rb.missed_dispatches(),
+        "{label}: missed dispatches"
+    );
     assert_eq!(
         ra.jain_by_bytes().to_bits(),
         rb.jain_by_bytes().to_bits(),
@@ -309,4 +405,82 @@ fn randomized_serving_scenarios_are_bit_identical_and_actually_skip() {
         continued_any,
         "no scenario continued a sweep; the continuation path went untested"
     );
+}
+
+#[test]
+fn dense_serve_small_shape_is_bit_identical_and_sleeps_between_events() {
+    let sc = dense_small(1);
+    let (cs, cs_drained) = run_serving(&sc, TimingMode::CycleStepped);
+    let (ed, ed_drained) = run_serving(&sc, TimingMode::EventDriven);
+    assert!(cs_drained && ed_drained, "{}: both runs drain", sc.label);
+    assert_serving_eq(&cs, &ed, &sc.label);
+    let records = ed.runtime().records();
+    assert!(
+        records
+            .iter()
+            .any(|r| r.dispatch_ns > r.submit_ns + 1_000.0),
+        "{}: no job waited behind another — the scenario formed no backlog",
+        sc.label
+    );
+    // The engine wakes on its own events (issue, data return, retire),
+    // the poller on a retirement, the decision clock on arrivals, polls
+    // and driver-ready — a few dozen fires per job, not one per edge of
+    // the job's residency.
+    let jobs = records.len() as u64;
+    for label in ["dce", "runtime", "hostq"] {
+        let per_job = fires(&ed, label) / jobs;
+        assert!(
+            per_job <= 40,
+            "{}: `{label}` fired {per_job} times per job",
+            sc.label
+        );
+    }
+}
+
+#[test]
+fn dense_serve_mixed_shape_is_bit_identical() {
+    let sc = dense_mixed(2, 20_000.0);
+    let (cs, cs_drained) = run_serving(&sc, TimingMode::CycleStepped);
+    let (ed, ed_drained) = run_serving(&sc, TimingMode::EventDriven);
+    assert!(cs_drained && ed_drained, "{}: both runs drain", sc.label);
+    assert_serving_eq(&cs, &ed, &sc.label);
+    assert!(
+        ed.runtime().preemptions() > 0,
+        "{}: no kick fired; the preemption horizon went untested",
+        sc.label
+    );
+    assert!(
+        continuations(&ed) > 0,
+        "{}: no sweep continued; the fusion horizon went untested",
+        sc.label
+    );
+    let rings = ed.runtime().ring_stats();
+    assert!(
+        rings.fired_on_timer > 0 && rings.chain_silent > 0,
+        "{}: the coalescer timer and chain-silent reaping must both engage: {rings:?}",
+        sc.label
+    );
+}
+
+#[test]
+fn run_for_cut_off_mid_flight_is_bit_identical() {
+    // Cut the run while the bulk tenants' chunks are still moving: the
+    // horizon lands between the events each mode happens to arm, so the
+    // counters read afterwards must not depend on which edges those are.
+    let sc = dense_mixed(3, 40_000.0);
+    let horizon_ns = 15_000.0;
+    let mut cs = build_serving(&sc, TimingMode::CycleStepped);
+    let mut ed = build_serving(&sc, TimingMode::EventDriven);
+    cs.run_for(horizon_ns);
+    ed.run_for(horizon_ns);
+    assert!(
+        ed.system().engines().iter().any(|e| e.busy()),
+        "{}: no engine is live at the horizon",
+        sc.label
+    );
+    assert_serving_eq(&cs, &ed, &sc.label);
+    // And a second leg continues from the cut exactly as well.
+    cs.run_for(2.0 * horizon_ns);
+    ed.run_for(2.0 * horizon_ns);
+    assert_serving_eq(&cs, &ed, &format!("{} (second leg)", sc.label));
 }
