@@ -330,7 +330,6 @@ fn main() {
         (
             "trace",
             Json::obj([
-                ("path", Json::str(args.trace.as_str())),
                 ("events", Json::int(summary.events as u64)),
                 ("counter_samples", Json::int(summary.counter_samples as u64)),
                 ("breach_instants", Json::int(breaches as u64)),

@@ -696,11 +696,11 @@ impl Dce {
 
     /// Sequence number of the descriptor currently executing, if any.
     /// A host-side preemption layer compares this against its ring's
-    /// oldest in-flight descriptor before arming a suspension: when the
-    /// completion-ring poller runs slower than the dispatch clock, the
-    /// ring view can lag the engine (the engine already chained to the
-    /// next descriptor), and kicking on the stale view would suspend
-    /// the wrong chunk.
+    /// oldest in-flight descriptor before arming a suspension: a fused
+    /// continuation runs under its successor's seq before the
+    /// predecessor's retirement record is emitted, so the ring view can
+    /// lag the engine, and kicking on the stale view would suspend the
+    /// wrong chunk.
     pub fn active_seq(&self) -> Option<u64> {
         self.job.as_ref().map(|j| j.seq)
     }

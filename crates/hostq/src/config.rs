@@ -1,7 +1,7 @@
 //! Queue-pair configuration.
 
 /// Shape of the host submission path: ring depth, interrupt-coalescing
-/// parameters, and the cadence of the host-side completion-ring poller.
+/// parameters, and the period of the host clock that polls the rings.
 ///
 /// The identity configuration ([`synchronous`](Self::synchronous), also
 /// the `Default`) — depth 1, coalescing off — degenerates to the
@@ -23,8 +23,9 @@ pub struct HostQueueConfig {
     /// [`coalesce_count`](Self::coalesce_count). Ignored when
     /// coalescing is disabled.
     pub coalesce_timeout_ns: f64,
-    /// Period of the host-side completion-ring poller's clock domain,
-    /// ps (default: the 312 ps decision clock, i.e. every edge).
+    /// Period of the host clock, ps: the one clock domain at whose
+    /// edges the host admits arrivals, polls every ring and dispatches
+    /// (default: 312 ps, the 3.2 GHz engine clock).
     pub poll_period_ps: u64,
 }
 

@@ -29,8 +29,8 @@
 //! from one chunk to the next, surfacing retirements as
 //! [`DceCompletion`] records for the ring poller. `pim-runtime`'s
 //! dispatch loop posts chunks through the queue pairs, and its serving
-//! composer counts each pair's poll edges
-//! ([`QueuePair::tick_poll`]) on a ring-poller clock domain.
+//! composer polls every pair on the host clock, whose period is
+//! [`HostQueueConfig::poll_period_ps`].
 //!
 //! [`Dce::enqueue`]: pim_mmu::Dce::enqueue
 //! [`DceCompletion`]: pim_mmu::dce::DceCompletion

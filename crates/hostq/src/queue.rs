@@ -1,6 +1,8 @@
 //! The queue pair: a bounded submission ring published by batched
 //! doorbell writes, and a completion ring drained under interrupt
-//! coalescing.
+//! coalescing. The ring keeps no clock: the host polls it at the edges
+//! of its host clock (period [`HostQueueConfig::poll_period_ps`]) and
+//! passes each call the edge's time.
 
 use crate::coalesce::{FireCause, InterruptCoalescer};
 use crate::config::HostQueueConfig;
@@ -159,8 +161,6 @@ pub struct HostQueueStats {
     /// Sum of in-flight depths sampled at each doorbell (mean =
     /// `inflight_sum / doorbells`).
     pub inflight_sum: u64,
-    /// Host poll edges taken (the ring poller's clock).
-    pub polls: u64,
 }
 
 impl Counters for HostQueueStats {
@@ -175,7 +175,6 @@ impl Counters for HostQueueStats {
         out.push(prefix, "chain_silent", self.chain_silent as f64);
         out.push(prefix, "max_in_flight", self.max_in_flight as f64);
         out.push(prefix, "inflight_sum", self.inflight_sum as f64);
-        out.push(prefix, "polls", self.polls as f64);
     }
 }
 
@@ -196,7 +195,6 @@ impl HostQueueStats {
         self.chain_silent += other.chain_silent;
         self.max_in_flight = self.max_in_flight.max(other.max_in_flight);
         self.inflight_sum += other.inflight_sum;
-        self.polls += other.polls;
     }
 
     /// Mean device-side in-flight depth observed at doorbell rings.
@@ -495,21 +493,6 @@ impl QueuePair {
         }
         self.cq.drain(..).collect()
     }
-
-    /// One edge of the host-side ring poller's clock domain (the
-    /// serving composer calls this at each poll edge, before it drains
-    /// the shard's retirements).
-    pub fn tick_poll(&mut self) {
-        self.stats.polls += 1;
-    }
-
-    /// Account `n` poll edges at once — equivalent to `n` calls to
-    /// [`tick_poll`](Self::tick_poll), used when the scheduler skips a
-    /// stretch of poll edges at which the poller provably had nothing to
-    /// drain and no interrupt to field.
-    pub fn skip_polls(&mut self, n: u64) {
-        self.stats.polls += n;
-    }
 }
 
 #[cfg(test)]
@@ -740,20 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_edges_are_counted_ticked_or_skipped() {
-        let mut qp = QueuePair::new(HostQueueConfig::synchronous());
-        for _ in 0..5 {
-            qp.tick_poll();
-        }
-        assert_eq!(qp.stats().polls, 5);
-        qp.skip_polls(7);
-        assert_eq!(qp.stats().polls, 12);
-        // Poll edges move no ring state.
-        assert!(qp.is_idle());
-        assert_eq!(qp.stats().doorbells + qp.stats().interrupts, 0);
-    }
-
-    #[test]
     fn merged_stats_sum_and_max() {
         let mut a = HostQueueStats {
             posted: 3,
@@ -766,7 +735,6 @@ mod tests {
             chain_silent: 0,
             max_in_flight: 2,
             inflight_sum: 4,
-            polls: 10,
         };
         let b = HostQueueStats {
             posted: 1,
@@ -779,13 +747,11 @@ mod tests {
             chain_silent: 0,
             max_in_flight: 5,
             inflight_sum: 5,
-            polls: 10,
         };
         a.merge(&b);
         assert_eq!(a.posted, 4);
         assert_eq!(a.doorbells, 3);
         assert_eq!(a.max_in_flight, 5);
         assert_eq!(a.mean_in_flight(), 3.0);
-        assert_eq!(a.polls, 20);
     }
 }

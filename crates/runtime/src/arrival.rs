@@ -185,7 +185,7 @@ impl ArrivalGen {
     /// The earliest time a [`poll`](Self::poll) could deliver an
     /// arrival, or `None` if none can ever come. Mirrors `poll`'s gating
     /// exactly (open-window filtering for the open-loop processes, head
-    /// -of-queue for closed-loop, unwindowed for traces), so a decision
+    /// -of-queue for closed-loop, unwindowed for traces), so a host
     /// clock sleeping until this instant observes the same arrivals it
     /// would have polling every edge.
     pub fn next_arrival_ns(&self, open_until_ns: f64) -> Option<f64> {
@@ -212,7 +212,7 @@ impl ArrivalGen {
     /// Whether this generator can never produce another arrival inside
     /// the open window `open_until_ns`. Deliberately independent of the
     /// current time: an arrival already scheduled inside the window but
-    /// not yet polled (the decision clock hasn't reached it) still
+    /// not yet polled (the host clock hasn't reached it) still
     /// counts as pending.
     pub fn exhausted(&self, open_until_ns: f64) -> bool {
         match &self.process {

@@ -36,10 +36,11 @@
 //!   achieved bandwidth, and the Jain fairness index ([`jain_index`]).
 //!
 //! [`ServingSystem`] composes a [`Runtime`] with the simulated machine:
-//! it registers the runtime's decision clock and the ring pollers as
-//! clock domains of the machine's scheduler and calls
-//! [`Runtime::tick`], [`Runtime::skip`] and
-//! [`QueuePair::tick_poll`] at their edges.
+//! it registers the host clock (period
+//! [`HostQueueConfig::poll_period_ps`]) as a clock domain of the
+//! machine's scheduler and, at each of its edges, calls
+//! [`Runtime::admit_arrivals`], [`Runtime::poll_shard`] for every shard
+//! and [`Runtime::dispatch`] with the edge's time.
 //!
 //! ```
 //! use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig,
@@ -94,7 +95,7 @@ pub use pim_hostq::{HostQueueConfig, HostQueueStats, QueuePair};
 // SLO burn-rate tracking), re-exported so harnesses can enable
 // tracing and read it back without naming `pim_telemetry` directly.
 pub use pim_telemetry::{
-    Attribution, BreachKind, CounterSet, Counters, DropPolicy, FlightRecorder, JobWaterfall,
-    SampleSeries, SloBreach, SloConfig, SloTracker, SpanEvent, SpanKind, Stage, TailAttribution,
-    TelemetryConfig, TelemetrySnapshot, NO_JOB, NO_SEQ, NO_SHARD, NO_TENANT, STAGE_COUNT,
+    Attribution, BreachKind, CounterSet, Counters, FlightRecorder, JobWaterfall, SampleSeries,
+    SloBreach, SloConfig, SloTracker, SpanEvent, SpanKind, Stage, TailAttribution, TelemetryConfig,
+    TelemetrySnapshot, NO_JOB, NO_SEQ, NO_SHARD, NO_TENANT, STAGE_COUNT,
 };

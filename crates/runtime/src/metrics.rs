@@ -223,7 +223,6 @@ mod tests {
             chain_silent: 0,
             max_in_flight: 3,
             inflight_sum: 8,
-            polls: 100,
         };
         let h = HostIfaceStats::from_ring(&s, 5);
         assert_eq!(h.doorbells, 4);

@@ -5,11 +5,12 @@
 //! routing ring retirements back to the owning tenant through the
 //! driver latency model.
 //!
-//! [`tick`](Runtime::tick) advances the runtime's decision clock and
-//! drains due arrivals into the queues. Interaction
-//! with the engine happens through two host-interface paths the
-//! composer (see [`crate::serving`]) calls at the corresponding clock
-//! edges, always *before* the engine's own tick:
+//! The runtime keeps no clock of its own: the composer (see
+//! [`crate::serving`]) runs it on the host clock, whose period is
+//! [`HostQueueConfig::poll_period_ps`], and hands it each edge's time.
+//! At an edge, always *before* the engines' own tick, it calls
+//! [`admit_arrivals`](Runtime::admit_arrivals) to drain due arrivals
+//! into the tenant queues, then the two host-interface paths:
 //!
 //! * [`poll_shard`](Runtime::poll_shard) — the completion-ring poller,
 //!   once per shard: drain that engine's retirement records into its
@@ -38,7 +39,7 @@ use crate::policy::{HeadView, QueuePolicy, QueueView};
 use pim_hostq::{Descriptor, DescriptorTag, HostQueueConfig, HostQueueStats, QueuePair};
 use pim_mapping::{PhysAddr, PimAddrSpace};
 use pim_mmu::{Dce, DceMode, DriverModel, PimMmuOp, SuspendedTransfer, XferKind};
-use pim_sim::{ticks_to_ns, Clock, HOST_BUFFER_BASE, TICKS_PER_NS};
+use pim_sim::{period_ticks, HOST_BUFFER_BASE, TICKS_PER_NS};
 use pim_telemetry::{FlightRecorder, SpanEvent, SpanKind, TelemetryConfig};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -177,9 +178,6 @@ impl TenantSpec {
 /// Runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Decision-clock period in picoseconds (default: the 3.2 GHz DCE
-    /// clock, so scheduling decisions never lag the engine).
-    pub period_ps: u64,
     /// Engine quantum: max bytes per dispatched chunk. One tenant can
     /// monopolize the engine for at most this many bytes at a time.
     pub chunk_bytes: u64,
@@ -187,8 +185,6 @@ pub struct RuntimeConfig {
     pub max_entries: usize,
     /// Driver latency model applied around every chunk submission.
     pub driver: DriverModel,
-    /// DCE scheduling mode for dispatched chunks.
-    pub mode: DceMode,
     /// Arrivals are generated while `now < open_until_ns`; afterwards
     /// the runtime only drains what is queued.
     pub open_until_ns: f64,
@@ -199,9 +195,9 @@ pub struct RuntimeConfig {
     /// MRAM heap-offset stride between tenants.
     pub heap_stride: u64,
     /// Host submission-queue shape (ring depth, interrupt coalescing,
-    /// poller cadence), instantiated once per shard. The default is the
-    /// identity point — depth 1, coalescing off — which reproduces the
-    /// synchronous driver bit-for-bit.
+    /// and the host clock's period), with one ring per shard. The
+    /// default is the identity point — depth 1, coalescing off — which
+    /// reproduces the synchronous driver bit-for-bit.
     pub hostq: HostQueueConfig,
     /// Number of engine shards (DCEs) the runtime dispatches across;
     /// each shard gets its own queue pair and driver context. 1 (the
@@ -245,11 +241,9 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            period_ps: 312,
             chunk_bytes: 256 << 10,
             max_entries: 4096,
             driver: DriverModel::default(),
-            mode: DceMode::PimMs,
             open_until_ns: 1e6,
             seed: 0xD15C0,
             dram_stride: 128 << 20,
@@ -277,13 +271,11 @@ struct TenantState {
 /// The multi-tenant transfer-queue runtime.
 pub struct Runtime {
     cfg: RuntimeConfig,
+    /// DCE scheduling mode for dispatched chunks (see
+    /// [`set_mode`](Self::set_mode)).
+    mode: DceMode,
     policy: Box<dyn QueuePolicy>,
     tenants: Vec<TenantState>,
-    /// Decision-clock ticks taken and the tick period (in simulator
-    /// ticks), kept identical to the registered clock domain so the
-    /// internal notion of "now" matches the composer's edge times.
-    ticks_taken: u64,
-    period_ticks: u64,
     arrivals_scratch: Vec<f64>,
     /// The doorbell/queue-pair host interface all chunks go through:
     /// one ring + coalescer per engine shard, in shard order. Shards are
@@ -378,11 +370,10 @@ impl Runtime {
             })
             .collect();
         Runtime {
-            period_ticks: Clock::from_period_ps(cfg.period_ps).period,
             cfg,
+            mode: DceMode::PimMs,
             policy,
             tenants,
-            ticks_taken: 0,
             arrivals_scratch: Vec::new(),
             qps: (0..cfg.shards).map(|_| QueuePair::new(cfg.hostq)).collect(),
             driver_ready_ns: vec![0.0; cfg.shards],
@@ -404,37 +395,15 @@ impl Runtime {
         &self.cfg
     }
 
-    /// Override the DCE scheduling mode (the composer aligns it with the
-    /// system's design point).
+    /// Set the DCE scheduling mode for dispatched chunks (PIM-MS until
+    /// set; the composer aligns it with the system's design point).
     pub fn set_mode(&mut self, mode: DceMode) {
-        self.cfg.mode = mode;
+        self.mode = mode;
     }
 
     /// The scheduling policy's name.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// Current decision-clock time in nanoseconds.
-    pub fn now_ns(&self) -> f64 {
-        ticks_to_ns(self.ticks_taken.saturating_sub(1) * self.period_ticks)
-    }
-
-    /// One edge of the decision clock: advance it and drain the
-    /// arrivals due by then into the tenant queues.
-    pub fn tick(&mut self) {
-        self.ticks_taken += 1;
-        let now_ns = self.now_ns();
-        self.enqueue_arrivals(now_ns);
-    }
-
-    /// Catch up over `edges` slept decision-clock edges. The composer
-    /// sleeps the domain only while every such edge falls strictly
-    /// before the next arrival (it wakes at the first edge whose time
-    /// reaches it), so the arrival drain at each would have found
-    /// nothing.
-    pub fn skip(&mut self, edges: u64) {
-        self.ticks_taken += edges;
     }
 
     /// Completion records so far (submission-ordered ids, completion-
@@ -551,7 +520,7 @@ impl Runtime {
         self.qps.iter().all(QueuePair::is_idle)
     }
 
-    /// The earliest decision-clock time at which
+    /// The earliest host-clock time at which
     /// [`dispatch`](Self::dispatch) can stage a chunk absent new
     /// arrivals and ring completions: the earliest `driver_ready_ns`
     /// over the shards that have a free ring slot and dispatchable work
@@ -615,13 +584,6 @@ impl Runtime {
         &self.qps
     }
 
-    /// Mutable queue-pair access — the composer counts each shard's
-    /// poll edges ([`QueuePair::tick_poll`]) on the ring poller's clock
-    /// domain.
-    pub fn queue_pairs_mut(&mut self) -> &mut [QueuePair] {
-        &mut self.qps
-    }
-
     /// Ring counters summed across every shard (see
     /// [`HostQueueStats::merge`]).
     pub fn ring_stats(&self) -> HostQueueStats {
@@ -673,7 +635,9 @@ impl Runtime {
             .collect()
     }
 
-    fn enqueue_arrivals(&mut self, now_ns: f64) {
+    /// Drain the arrivals due by `now_ns` (a host-clock edge) into the
+    /// tenant queues.
+    pub fn admit_arrivals(&mut self, now_ns: f64) {
         for ti in 0..self.tenants.len() {
             self.arrivals_scratch.clear();
             let t = &mut self.tenants[ti];
@@ -759,10 +723,9 @@ impl Runtime {
             .collect()
     }
 
-    /// The completion-ring poller for one shard, called at each edge
-    /// the `hostq` clock domain fires (before the engines' own ticks;
-    /// the composer sleeps the domain through edges where a poll could
-    /// drain nothing and field no interrupt):
+    /// The completion-ring poller for one shard, called at each
+    /// host-clock edge that fires (after the arrivals, before the
+    /// dispatch and the engines' own ticks):
     /// drain shard `shard`'s engine retirement records into that
     /// shard's queue pair, and once its interrupt coalescer fires,
     /// field *one* interrupt for the whole completed batch — routing
@@ -791,8 +754,7 @@ impl Runtime {
         // Device → completion ring. The engine's cycle counter maps onto
         // the simulation timeline through its tick period (for the
         // coalescer's aggregation timer).
-        let edge_ns =
-            Clock::from_period_ps(dce.config().period_ps()).period as f64 / TICKS_PER_NS as f64;
+        let edge_ns = period_ticks(dce.config().period_ps()) as f64 / TICKS_PER_NS as f64;
         while let Some(rec) = dce.pop_completion() {
             let done_ns = rec.completed_at as f64 * edge_ns;
             if rec.resumable {
@@ -956,9 +918,9 @@ impl Runtime {
         }
     }
 
-    /// The shard-aware submission path, called at each decision-clock
-    /// edge that fires, with the whole engine array (after the shard polls when the
-    /// edges coincide, before the engines' own ticks): while rings have
+    /// The shard-aware submission path, called at each host-clock edge
+    /// that fires, with the whole engine array (after the shard polls,
+    /// before the engines' own ticks): while rings have
     /// free slots and their drivers are not busy, let the policy pick
     /// chunks, place each on a shard according to
     /// [`Placement`] — hash-pin dispatches each shard against its
@@ -976,7 +938,7 @@ impl Runtime {
             self.cfg.shards,
             "dispatch needs one engine per shard"
         );
-        // Idle runtime clock edges are the common case; don't build
+        // Edges with empty queues are the common case; don't build
         // policy views (allocating) when there is nothing to dispatch.
         if self.tenants.iter().all(|t| t.queue.is_empty()) {
             return;
@@ -1005,10 +967,11 @@ impl Runtime {
 
     /// The kickable victim on shard `s`: the tenant of the ring's
     /// oldest in-flight descriptor, provided the engine is actually
-    /// still executing that descriptor (`active_seq` match — when the
-    /// poller domain runs slower than the dispatch clock the ring view
-    /// can lag the engine, and kicking on the stale view would suspend
-    /// the *next* chunk, possibly the urgent one), a suspension is not
+    /// still executing that descriptor (`active_seq` match — a fused
+    /// continuation runs under its successor's seq before the
+    /// predecessor's record is emitted, so the ring view can lag the
+    /// engine, and kicking on the stale view would suspend the *next*
+    /// chunk, possibly the urgent one), a suspension is not
     /// already pending, and a remainder of the victim's current job is
     /// not still waiting to resume (kicking chunk k+1 while chunk k's
     /// remainder is parked just multiplies recalls without freeing
@@ -1383,11 +1346,11 @@ impl Runtime {
             let entries = if claim {
                 let pred = job.anchor.expect("claim requires an anchor").seq;
                 continues = Some(pred);
-                dce.enqueue_continuation(chunk, self.cfg.mode, pred)
+                dce.enqueue_continuation(chunk, self.mode, pred)
                     .expect("chunk validated at job construction");
                 self.cfg.driver.continuation_entries(full_entries)
             } else {
-                dce.enqueue(chunk, self.cfg.mode)
+                dce.enqueue(chunk, self.mode)
                     .expect("chunk validated at job construction");
                 full_entries
             };

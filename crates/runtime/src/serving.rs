@@ -1,23 +1,23 @@
-//! Composition of a [`Runtime`] with the simulated machine: the runtime
-//! and the host-side completion-ring poller each own a clock domain
-//! registered with the system's
-//! [`ClockDomains`](pim_sim::ClockDomains), and act at each of their
-//! edges *before* the machine's components tick — so a doorbell lands
-//! ahead of the engine's cycle at the same edge, exactly like the
-//! one-shot harness's submit-then-run ordering.
+//! Composition of a [`Runtime`] with the simulated machine: the host
+//! (one driver context that rings the engines' doorbells and fields
+//! their completion interrupts) owns one clock domain, labelled
+//! `runtime`, registered with the system's
+//! [`ClockDomains`](pim_sim::ClockDomains). Its period is
+//! [`HostQueueConfig::poll_period_ps`](pim_hostq::HostQueueConfig::poll_period_ps)
+//! (312 ps by default), and it acts at each of its edges *before* the
+//! machine's components tick — so a doorbell lands ahead of the
+//! engine's cycle at the same edge, exactly like the one-shot
+//! harness's submit-then-run ordering.
 //!
-//! Two host-side domains fire per step when due, in this order:
-//! `runtime` (arrival generation, then chunk dispatch through the queue
-//! pairs) and `hostq` (the ring pollers draining each shard's device
-//! retirements and fielding coalesced interrupts). With the default
-//! configuration both run at the 312 ps decision clock, and a
-//! poll+dispatch pair at one edge is exactly the synchronous
-//! completion-then-submit handshake.
+//! At each host edge, in this order: arrivals are admitted, every
+//! shard's completion ring is polled (draining the engine's
+//! retirements and fielding coalesced interrupts), and the shard-aware
+//! dispatch runs over the whole engine array. A poll and a dispatch at
+//! one edge are exactly the synchronous completion-then-submit
+//! handshake.
 //!
 //! Sharding: the machine instantiates one DCE (with its own clock
-//! domain and shard-tagged memory traffic) per runtime shard, and the
-//! composer polls every shard's completion ring at the poller edge
-//! before the shard-aware dispatch runs over the whole engine array.
+//! domain and shard-tagged memory traffic) per runtime shard.
 
 use crate::runtime::Runtime;
 use pim_hostq::QueuePair;
@@ -55,11 +55,8 @@ struct Slo {
 pub struct ServingSystem {
     sys: System,
     runtime: Runtime,
-    dom: DomainId,
-    /// The completion-ring pollers' clock domain (period
-    /// `hostq.poll_period_ps`; every shard's ring is polled at its
-    /// edges).
-    poller: DomainId,
+    /// The host clock domain (period `hostq.poll_period_ps`).
+    host: DomainId,
     /// Present only when [`RuntimeConfig::telemetry`] is enabled — a
     /// disabled configuration registers no extra domain and perturbs
     /// nothing.
@@ -98,13 +95,11 @@ impl ServingSystem {
         // One engine per shard: the runtime's shard count is the single
         // source of truth for the serving machine.
         cfg.dce_count = runtime.config().shards;
-        let period_ps = runtime.config().period_ps;
-        let poll_ps = runtime.config().hostq.poll_period_ps;
+        let host_ps = runtime.config().hostq.poll_period_ps;
         let telemetry = runtime.config().telemetry;
         let shards = runtime.config().shards;
         let mut sys = System::new(cfg, vec![]);
-        let dom = sys.register_domain("runtime", period_ps);
-        let poller = sys.register_domain("hostq", poll_ps);
+        let host = sys.register_domain("runtime", host_ps);
         let sampler = telemetry.enabled.then(|| {
             // Truncation intended: sub-ps remainders of the configured
             // sampling interval cannot matter.
@@ -131,8 +126,7 @@ impl ServingSystem {
         ServingSystem {
             sys,
             runtime,
-            dom,
-            poller,
+            host,
             sampler,
             slo: None,
         }
@@ -182,8 +176,8 @@ impl ServingSystem {
     }
 
     /// Arm the machine's wall-time self-profile (see
-    /// [`System::enable_self_profile`]); the composer's own host-side
-    /// domains (`runtime`, `hostq`, `telemetry`) are credited too.
+    /// [`System::enable_self_profile`]); the composer's own domains
+    /// (`runtime`, `telemetry`) are credited too.
     pub fn enable_self_profile(&mut self) {
         self.sys.enable_self_profile();
     }
@@ -199,7 +193,7 @@ impl ServingSystem {
     }
 
     /// Drain every engine's span tap into the flight recorder. The ring
-    /// poller drains taps at the edge after each event is recorded; call
+    /// poll drains taps at the edge after each event is recorded; call
     /// this once after a run so events recorded after the final poll are
     /// not stranded.
     pub fn flush_spans(&mut self) {
@@ -247,18 +241,17 @@ impl ServingSystem {
         self.sys.now_ns()
     }
 
-    /// Advance one event: at the next edge, tick whichever host-side
-    /// domains fire — the runtime (arrivals), the ring pollers (drain
-    /// each shard's retirements, field interrupts), then the
-    /// shard-aware dispatch over the whole engine array — and step the
-    /// machine. Poll-before-dispatch at a shared edge is the
-    /// synchronous handshake's completion-then-submit ordering.
+    /// Advance one event: at a host edge, admit arrivals, poll every
+    /// shard's completion ring (drain its retirements, field its
+    /// interrupts), then run the shard-aware dispatch over the whole
+    /// engine array; then step the machine. Poll-before-dispatch at one
+    /// edge is the synchronous handshake's completion-then-submit
+    /// ordering.
     pub fn step(&mut self) {
         #[cfg(feature = "sanitize")]
         {
-            let (decide, poll) = self.host_horizons();
-            self.sys
-                .sanitize_check_external(&[(self.dom, decide), (self.poller, poll)]);
+            let horizon = self.host_horizon();
+            self.sys.sanitize_check_external(&[(self.host, horizon)]);
         }
         let pending = self.sys.pending();
         let now_ns = ticks_to_ns(pending.now);
@@ -299,30 +292,21 @@ impl ServingSystem {
                 self.sys.credit_domain_wall_ns(dom, elapsed(t0));
             }
         }
-        if pending.contains(self.dom) {
+        let host_fired = pending.contains(self.host);
+        if host_fired {
             let t0 = timer();
-            // Decision-clock edges slept while the host was quiescent:
-            // account them (all strictly before the next arrival) so the
-            // runtime's edge-indexed clock stays exact.
-            let missed = self.sys.pending_missed(self.dom);
-            if missed > 0 {
-                self.runtime.skip(missed);
-            }
-            self.runtime.tick();
-            self.sys.credit_domain_wall_ns(self.dom, elapsed(t0));
-        }
-        if pending.contains(self.poller) {
-            let t0 = timer();
-            // Poll edges slept through had nothing to drain or field:
-            // count them, so the rings' poll counters match a poller
-            // that ran every edge.
-            self.sync_polls(self.sys.clock_domains().pending_edge(self.poller));
-            for s in 0..self.runtime.config().shards {
-                self.runtime.queue_pairs_mut()[s].tick_poll();
-                let dce = &mut self.sys.engines_mut()[s];
+            self.runtime.admit_arrivals(now_ns);
+            for (s, dce) in self.sys.engines_mut().iter_mut().enumerate() {
                 self.runtime.poll_shard(s, dce, now_ns);
             }
-            self.sys.credit_domain_wall_ns(self.poller, elapsed(t0));
+            // Dispatch stamps descriptors with engine cycle counts: make
+            // sure slept engines read as of this tick, then ring the
+            // doorbell wake so a newly staged chunk's engine fires
+            // within this very step.
+            self.sys.sync_engines_to(pending.now);
+            self.runtime.dispatch(self.sys.engines_mut(), now_ns);
+            self.sys.wake_engines(pending.now);
+            self.sys.credit_domain_wall_ns(self.host, elapsed(t0));
         }
         if let Some(slo) = &mut self.slo {
             // Stream completions recorded by this step's polls (and any
@@ -346,111 +330,83 @@ impl ServingSystem {
                 slo.tracker.sample(now_ns);
             }
         }
-        if pending.contains(self.dom) {
-            let t0 = timer();
-            // Dispatch stamps descriptors with engine cycle counts: make
-            // sure slept engines read as of this tick, then ring the
-            // doorbell wake so a newly staged chunk's engine fires
-            // within this very step.
-            self.sys.sync_engines_to(pending.now);
-            self.runtime.dispatch(self.sys.engines_mut(), now_ns);
-            self.sys.wake_engines(pending.now);
-            self.sys.credit_domain_wall_ns(self.dom, elapsed(t0));
-        }
         self.sys.step();
-        let host_fired = pending.contains(self.dom) || pending.contains(self.poller);
-        self.set_host_horizons(host_fired);
+        self.set_host_horizon(host_fired);
     }
 
-    /// Count every ring's poll edges up to `edges` poller edges.
-    fn sync_polls(&mut self, edges: u64) {
-        for qp in self.runtime.queue_pairs_mut() {
-            qp.skip_polls(edges.saturating_sub(qp.stats().polls));
-        }
-    }
-
-    /// Re-aim the two host-side domains after a step (event-driven mode
-    /// only) at their [horizons](Self::host_horizons). A horizon can
-    /// only move when a host domain acted or an engine left something
-    /// for the poller; otherwise the armed wakes stand, and a domain
-    /// whose horizon did not move is not re-aimed.
-    fn set_host_horizons(&mut self, host_fired: bool) {
+    /// Re-aim the host domain after a step (event-driven mode only) at
+    /// its [horizon](Self::host_horizon). The horizon can only move
+    /// when the host acted or an engine left something for the poll;
+    /// otherwise the armed wake stands, and an unmoved horizon is not
+    /// re-aimed.
+    fn set_host_horizon(&mut self, host_fired: bool) {
         if self.sys.cfg.timing != TimingMode::EventDriven {
             return;
         }
         if !host_fired && !self.sys.engines().iter().any(Dce::awaits_poll) {
             return;
         }
-        let (decide, poll) = self.host_horizons();
-        self.sys.set_domain_horizon(self.dom, decide);
-        self.sys.set_domain_horizon(self.poller, poll);
+        let horizon = self.host_horizon();
+        self.sys.set_domain_horizon(self.host, horizon);
     }
 
-    /// The first edges at which the decision clock and the ring poller
-    /// can act, derived from scratch from the state the last step left:
-    /// `(runtime, hostq)`, `None` for a domain with nothing to do.
+    /// The first host edge that can act, derived from scratch from the
+    /// state the last step left (`None`: the host has nothing to do).
+    /// It is the earliest of:
     ///
-    /// * The **poller** acts on the edge after an engine holds an
-    ///   undrained retirement record or span event, and at a ring's
-    ///   interrupt-coalescing deadline. Between those a poll drains
-    ///   nothing, reaps nothing and fields nothing.
-    /// * The **decision clock** acts at the earliest of: the next
-    ///   arrival; the first time a shard's driver is ready while it has a
-    ///   free ring slot and work to take; every poller wake (a fielded
+    /// * the edge after an engine holds an undrained retirement record
+    ///   or span event, and a ring's interrupt-coalescing deadline — a
+    ///   poll has something to drain, reap or field (a fielded
     ///   interrupt frees a slot, settles jobs and can change which chunk
-    ///   is kickable, and the dispatch must see it at the same edge);
-    ///   and the edge a preemption comes due — at once for a priority
-    ///   kick, at the quantum's expiry for a time slice.
-    fn host_horizons(&self) -> (Option<u64>, Option<u64>) {
+    ///   is kickable, and the dispatch sees it at the same edge);
+    /// * the next arrival;
+    /// * the first time a shard's driver is ready while it has a free
+    ///   ring slot and work to take;
+    /// * the edge a preemption comes due — at once for a priority kick,
+    ///   at the quantum's expiry for a time slice.
+    ///
+    /// Between those, an edge admits, drains, fields and dispatches
+    /// nothing.
+    fn host_horizon(&self) -> Option<u64> {
         let clocks = self.sys.clock_domains();
-        let t = self.sys.now_ticks();
-        // The first edge of `d` strictly after the step just taken.
-        let next = |d: DomainId| clocks.edges_through(d, t);
-        let at_tick = |d: DomainId, tick: u64| clocks.edge_at_or_after(d, tick).max(next(d));
-        let at_ns = |d: DomainId, ns: f64| clocks.edge_at_or_after_ns(d, ns).max(next(d));
+        let host = self.host;
+        // The first edge strictly after the step just taken.
+        let next = clocks.edges_through(host, self.sys.now_ticks());
+        let at_tick = |tick: u64| clocks.edge_at_or_after(host, tick).max(next);
+        let at_ns = |ns: f64| clocks.edge_at_or_after_ns(host, ns).max(next);
         let engines_hold_output = self.sys.engines().iter().any(Dce::awaits_poll);
-        let poll = [
-            engines_hold_output.then(|| next(self.poller)),
-            self.runtime
-                .interrupt_due_ns()
-                .map(|ns| at_ns(self.poller, ns)),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        let decide = poll
-            .map(|e| at_tick(self.dom, clocks.edge_tick(self.poller, e)))
+        engines_hold_output
+            .then_some(next)
             .into_iter()
             .chain(
                 [
+                    self.runtime.interrupt_due_ns(),
                     self.runtime.next_arrival_ns(),
                     self.runtime.dispatch_ready_ns(),
                 ]
                 .into_iter()
                 .flatten()
-                .map(|ns| at_ns(self.dom, ns)),
+                .map(at_ns),
             )
             .chain(
                 self.runtime
                     .preemption_due(self.sys.engines())
                     .into_iter()
-                    .map(|(s, cycle)| at_tick(self.dom, self.sys.engine_cycle_tick(s, cycle))),
+                    .map(|(s, cycle)| at_tick(self.sys.engine_cycle_tick(s, cycle))),
             )
-            .min();
-        (decide, poll)
+            .min()
     }
 
     /// Run until `horizon_ns` of simulated time has elapsed: every
     /// event strictly before the horizon is processed, then the engines'
-    /// clocks and the rings' poll counts are caught up to it — so what
-    /// the run leaves does not depend on which edges were armed.
+    /// clocks are caught up to it — so what the run leaves does not
+    /// depend on which edges were armed.
     pub fn run_for(&mut self, horizon_ns: f64) {
         let horizon = ns_to_ticks(horizon_ns);
         while self.sys.pending().now < horizon {
             self.step();
         }
         self.sys.sync_engines_to(horizon);
-        self.sync_polls(self.sys.clock_domains().edges_before(self.poller, horizon));
     }
 
     /// Run until the runtime is fully drained (no future arrivals, empty
@@ -478,19 +434,19 @@ impl ServingSystem {
         self.sys.sanitize_record_only();
     }
 
-    /// Inject a **lost host wakeup**: park the ring poller while an
+    /// Inject a **lost host wakeup**: park the host domain while an
     /// engine holds a retirement record it has not drained. The next
     /// `step` must flag it.
     ///
     /// # Panics
     ///
     /// Panics if no engine holds an undrained record or span event.
-    pub fn sanitize_inject_lost_poller_wakeup(&mut self) {
+    pub fn sanitize_inject_lost_host_wakeup(&mut self) {
         assert!(
             self.sys.engines().iter().any(Dce::awaits_poll),
             "an engine must hold a record for the park to lose"
         );
-        self.sys.set_domain_horizon(self.poller, None);
+        self.sys.set_domain_horizon(self.host, None);
     }
 }
 

@@ -6,10 +6,11 @@
 //! memory (every request completes `latency` engine cycles after
 //! issue). They are factored here so the conformance suite, the policy
 //! regressions and the shard-layer tests all drive the *same* loop —
-//! the composition order exactly mirrors `ServingSystem::step`: tick
-//! the runtime (arrivals), poll every shard's completion ring, run the
-//! shard-aware dispatch over the whole engine array, then tick the
-//! engines.
+//! the composition order exactly mirrors `ServingSystem::step`: admit
+//! arrivals, poll every shard's completion ring, run the shard-aware
+//! dispatch over the whole engine array, then tick the engines. The
+//! host acts at every engine cycle, so its edge `k` is at engine cycle
+//! `k`'s time.
 //!
 //! The perfect memory keeps hundreds of randomized cases fast; the
 //! full simulated machine is exercised by the serving integration
@@ -22,6 +23,7 @@ use crate::JobSizer;
 use pim_dram::Completion;
 use pim_mapping::{HetMap, Organization, PimAddrSpace};
 use pim_mmu::{Dce, DceConfig, DriverModel, XferKind};
+use pim_sim::{period_ticks, ticks_to_ns};
 use std::collections::VecDeque;
 
 /// A Table-I engine for shard `shard` over the standard 4-channel
@@ -97,9 +99,10 @@ fn drive_sharded(
     }
     let mut pending: Vec<VecDeque<(u64, Completion)>> =
         (0..shards).map(|_| VecDeque::new()).collect();
+    let period = period_ticks(dces[0].config().period_ps());
     for cycle in 0..max_cycles {
-        rt.tick();
-        let now_ns = rt.now_ns();
+        let now_ns = ticks_to_ns(cycle * period);
+        rt.admit_arrivals(now_ns);
         for (s, dce) in dces.iter_mut().enumerate() {
             rt.poll_shard(s, dce, now_ns);
         }

@@ -26,23 +26,17 @@
 //! (fixed-latency completions), so engine cycle counts are identical
 //! across runs and the deltas are exact.
 
-use pim_dram::Completion;
-use pim_hostq::HostQueueConfig;
-use pim_mapping::{HetMap, Organization, PimAddrSpace};
-use pim_mmu::{Dce, DceConfig, DriverModel, XferKind};
-use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig, TenantSpec};
-use std::collections::VecDeque;
+use pim_mmu::DriverModel;
+use pim_runtime::testkit::{run_to_drain_sharded, trace_tenant};
+use pim_runtime::{Fcfs, HostQueueConfig, Runtime, RuntimeConfig, SpanKind, TelemetryConfig};
 
-fn fresh_dce() -> Dce {
-    let dram = Organization::ddr4_dimm(4, 2);
-    let pim = Organization::upmem_dimm(4, 2);
-    let het = HetMap::pim_mmu(dram, pim);
-    let space = PimAddrSpace::new(het.pim_base(), pim);
-    Dce::new(DceConfig::table1(), het, space)
-}
+/// Memory latency of the perfect-memory engine, in engine cycles.
+const LATENCY: u64 = 20;
+/// Engine-cycle budget for one job to drain.
+const MAX_CYCLES: u64 = 40_000_000;
 
-/// Run one fixed-size job to completion against a perfect memory and
-/// return its end-to-end latency (ns).
+/// Run one fixed-size job on 4 cores to completion against a perfect
+/// memory and return its end-to-end latency (ns).
 fn e2e_of_one_job(driver: DriverModel, per_core_bytes: u64, chunk_bytes: u64) -> f64 {
     let cfg = RuntimeConfig {
         chunk_bytes,
@@ -50,49 +44,11 @@ fn e2e_of_one_job(driver: DriverModel, per_core_bytes: u64, chunk_bytes: u64) ->
         open_until_ns: 1.0,
         ..RuntimeConfig::default()
     };
-    let tenant = TenantSpec {
-        name: "t".into(),
-        kind: XferKind::DramToPim,
-        arrival: ArrivalProcess::Trace(vec![0.0]),
-        sizer: JobSizer::Fixed {
-            per_core_bytes,
-            n_cores: 4,
-        },
-        priority: 0,
-        weight: 1,
-        class: 0,
-    };
+    let tenant = trace_tenant("t", vec![0.0], per_core_bytes, 4);
     let mut rt = Runtime::new(cfg, vec![tenant], Box::new(Fcfs));
-    let mut dce = fresh_dce();
-    let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
-    for cycle in 0..40_000_000u64 {
-        rt.tick();
-        let now_ns = rt.now_ns();
-        rt.poll_shard(0, &mut dce, now_ns);
-        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
-        dce.tick();
-        while let Some(r) = dce.outbox_mut().pop_front() {
-            pending.push_back((
-                cycle + 20,
-                Completion {
-                    id: r.req.id,
-                    kind: r.req.kind,
-                    source: r.req.source,
-                    cycle: cycle + 20,
-                },
-            ));
-        }
-        while pending.front().is_some_and(|&(t, _)| t <= cycle) {
-            let (_, c) = pending.pop_front().unwrap();
-            dce.on_completion(c);
-        }
-        if rt.drained() {
-            let records = rt.records();
-            assert_eq!(records.len(), 1);
-            return records[0].e2e_ns();
-        }
-    }
-    panic!("job never completed");
+    let records = run_to_drain_sharded(&mut rt, LATENCY, MAX_CYCLES).expect("job never completed");
+    assert_eq!(records.len(), 1);
+    records[0].e2e_ns()
 }
 
 /// Base model: interrupt far above submit so inter-chunk gaps are
@@ -106,7 +62,7 @@ fn base() -> DriverModel {
     }
 }
 
-/// Deltas aligned to the 312 ps decision grid so posting edges shift
+/// Deltas aligned to the 312 ps host grid so posting edges shift
 /// exactly (1000 ns = 3200 edges).
 const DELTA_NS: f64 = 1_000.0;
 /// Floating-point slack: the deltas are sums of exactly represented
@@ -197,56 +153,22 @@ fn interrupt_fielding_cannot_shorten_the_doorbell_busy_window() {
         driver,
         open_until_ns: 1.0,
         hostq: HostQueueConfig::with_depth(8),
+        telemetry: TelemetryConfig::on(),
         ..RuntimeConfig::default()
     };
-    let tenant = TenantSpec {
-        name: "t".into(),
-        kind: XferKind::DramToPim,
-        arrival: ArrivalProcess::Trace(vec![0.0]),
-        sizer: JobSizer::Fixed {
-            per_core_bytes: 2048,
-            n_cores: 16,
-        },
-        priority: 0,
-        weight: 1,
-        class: 0,
-    };
+    let tenant = trace_tenant("t", vec![0.0], 2048, 16);
     let mut rt = Runtime::new(cfg, vec![tenant], Box::new(Fcfs));
-    let mut dce = fresh_dce();
-    let mut pending: VecDeque<(u64, Completion)> = VecDeque::new();
-    let mut doorbell_times: Vec<f64> = Vec::new();
-    let mut doorbells_seen = 0;
-    for cycle in 0..40_000_000u64 {
-        rt.tick();
-        let now_ns = rt.now_ns();
-        rt.poll_shard(0, &mut dce, now_ns);
-        rt.dispatch(std::slice::from_mut(&mut dce), now_ns);
-        let db = rt.host_stats().doorbells;
-        if db > doorbells_seen {
-            doorbells_seen = db;
-            doorbell_times.push(now_ns);
-        }
-        dce.tick();
-        while let Some(r) = dce.outbox_mut().pop_front() {
-            pending.push_back((
-                cycle + 20,
-                Completion {
-                    id: r.req.id,
-                    kind: r.req.kind,
-                    source: r.req.source,
-                    cycle: cycle + 20,
-                },
-            ));
-        }
-        while pending.front().is_some_and(|&(t, _)| t <= cycle) {
-            let (_, c) = pending.pop_front().unwrap();
-            dce.on_completion(c);
-        }
-        if rt.drained() {
-            break;
-        }
-    }
-    assert!(rt.drained(), "run never drained");
+    assert!(
+        run_to_drain_sharded(&mut rt, LATENCY, MAX_CYCLES).is_some(),
+        "run never drained"
+    );
+    assert_eq!(rt.recorder().dropped(), 0, "the recorder kept every span");
+    let doorbell_times: Vec<f64> = rt
+        .recorder()
+        .iter()
+        .filter(|e| e.kind == SpanKind::Doorbell)
+        .map(|e| e.t_ns)
+        .collect();
     assert!(
         doorbell_times.len() >= 2,
         "the 32-chunk job must need more than one 8-deep batch"

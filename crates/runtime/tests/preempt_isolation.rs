@@ -60,7 +60,7 @@ fn run(chunk_bytes: u64, preemption: Preemption) -> Runtime {
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(cfg, vec![top, bulk], policy_by_name("prio", 4_096).unwrap());
-    // ~340 µs of simulated time at the 312 ps decision clock.
+    // ~340 µs of simulated time at the 312 ps host clock.
     run_cycles_sharded(&mut rt, 20, 1_100_000);
     rt
 }

@@ -1,7 +1,7 @@
-//! The scheduler shadow checker over the serving composer's own clock
-//! domains: the ring poller and the decision clock sleep between their
-//! events, so a parked host domain with work to do must be flagged just
-//! like a parked machine component.
+//! The scheduler shadow checker over the serving composer's host
+//! clock: it sleeps between the host's events, so a parked host domain
+//! with work to do must be flagged just like a parked machine
+//! component.
 #![cfg(feature = "sanitize")]
 
 use pim_runtime::testkit::trace_tenant;
@@ -30,11 +30,11 @@ fn clean_serving_run_is_silent() {
 }
 
 #[test]
-fn lost_poller_wakeup_injection_trips() {
+fn lost_host_wakeup_injection_trips() {
     let mut s = serving();
     s.sanitize_record_only();
     // Run until the engine retires the first job: its record waits for
-    // the ring poller, which must be armed for the next edge.
+    // the ring poll, so the host must be armed for the next edge.
     let mut steps = 0;
     while !s.system().engines().iter().any(|e| e.awaits_poll()) {
         s.step();
@@ -42,12 +42,12 @@ fn lost_poller_wakeup_injection_trips() {
         assert!(steps < 1_000_000, "the first job never retired");
     }
     assert!(s.system().sanitize_violations().is_empty());
-    s.sanitize_inject_lost_poller_wakeup();
+    s.sanitize_inject_lost_host_wakeup();
     s.step();
     let vs = s.system().sanitize_violations();
     assert!(
         vs.iter()
-            .any(|v| v.kind == SanitizeKind::LostWakeup && v.domain == "hostq"),
-        "parked poller with a retirement record to drain must be flagged: {vs:?}"
+            .any(|v| v.kind == SanitizeKind::LostWakeup && v.domain == "runtime"),
+        "a parked host with a retirement record to drain must be flagged: {vs:?}"
     );
 }

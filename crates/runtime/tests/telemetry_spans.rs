@@ -29,7 +29,7 @@
 
 use pim_runtime::testkit::{quick_driver, run_to_drain_sharded, trace_tenant};
 use pim_runtime::{
-    policy_by_name, Attribution, DropPolicy, HostQueueConfig, Placement, Preemption, Rng, Runtime,
+    policy_by_name, Attribution, HostQueueConfig, Placement, Preemption, Rng, Runtime,
     RuntimeConfig, SpanKind, Stage, TelemetryConfig, TenantSpec, NO_JOB, POLICY_NAMES,
 };
 
@@ -306,74 +306,70 @@ fn attribution_conserves_latency_across_policies_and_shards() {
     }
 }
 
-/// Overflow property, fuzzed: under a deliberately tiny flight ring
-/// the accounting identity `recorded + dropped == offered` must hold
-/// for **both** drop policies on every randomized run, and the span
-/// joiner must survive the truncated stream — flagging itself
-/// `degraded`, never panicking, and still conserving latency for each
-/// job whose endpoints did make it into the ring.
+/// Overflow property, fuzzed: under a deliberately tiny flight
+/// recorder the accounting identity `recorded + dropped == offered`
+/// must hold on every randomized run, and the span joiner must survive
+/// the truncated stream — flagging itself `degraded`, never panicking,
+/// and still conserving latency for each job whose endpoints did make
+/// it into the recorder.
 #[test]
 fn tiny_ring_overflow_keeps_accounting_and_joiner_never_panics() {
     let mut rng = Rng::new(0xC0FF_EE00);
     let modes = Preemption::modes(QUANTUM_CYCLES);
     let mut overflowed = 0u32;
-    for case in 0..10 {
-        for drop in [DropPolicy::DropNewest, DropPolicy::DropOldest] {
-            let capacity = 16 << rng.below(4); // 16..128 slots
-            let policy =
-                POLICY_NAMES[usize::try_from(rng.below(POLICY_NAMES.len() as u64)).unwrap()];
-            let preemption = modes[usize::try_from(rng.below(modes.len() as u64)).unwrap()];
-            let shards = 1 + usize::try_from(rng.below(3)).unwrap();
-            let label = format!(
-                "case {case} {policy}/{}/{shards}-shard {drop:?} cap={capacity}",
-                preemption.name()
-            );
-            let telemetry = TelemetryConfig {
-                capacity,
-                drop,
-                ..TelemetryConfig::on()
-            };
-            let mut rt = build_sharded(policy, preemption, telemetry, shards);
-            run_to_drain_sharded(&mut rt, 4, 3_000_000)
-                .unwrap_or_else(|| panic!("{label}: must drain"));
+    for case in 0..20 {
+        let capacity = 16 << rng.below(4); // 16..128 slots
+        let policy = POLICY_NAMES[usize::try_from(rng.below(POLICY_NAMES.len() as u64)).unwrap()];
+        let preemption = modes[usize::try_from(rng.below(modes.len() as u64)).unwrap()];
+        let shards = 1 + usize::try_from(rng.below(3)).unwrap();
+        let label = format!(
+            "case {case} {policy}/{}/{shards}-shard cap={capacity}",
+            preemption.name()
+        );
+        let telemetry = TelemetryConfig {
+            capacity,
+            ..TelemetryConfig::on()
+        };
+        let mut rt = build_sharded(policy, preemption, telemetry, shards);
+        run_to_drain_sharded(&mut rt, 4, 3_000_000)
+            .unwrap_or_else(|| panic!("{label}: must drain"));
 
-            let rec = rt.recorder();
-            assert_eq!(
-                rec.recorded() + rec.dropped(),
-                rec.offered(),
-                "{label}: accounting identity"
-            );
+        let rec = rt.recorder();
+        assert_eq!(
+            rec.recorded() + rec.dropped(),
+            rec.offered(),
+            "{label}: accounting identity"
+        );
+        assert!(
+            rec.recorded() <= capacity as u64,
+            "{label}: recorder retained more than its capacity"
+        );
+        if rec.dropped() > 0 {
+            overflowed += 1;
+        }
+
+        // The joiner must accept whatever the recorder kept.
+        let a = Attribution::from_recorder(rec);
+        assert_eq!(
+            a.degraded,
+            rec.dropped() > 0,
+            "{label}: degraded flag must mirror recorder drops"
+        );
+        for w in a.jobs.iter().filter(|w| w.complete) {
+            let sum: f64 = w.stages.iter().sum();
             assert!(
-                rec.recorded() <= capacity as u64,
-                "{label}: ring retained more than its capacity"
+                (sum - w.e2e_ns()).abs() < 1e-6,
+                "{label}: job {} stages sum {sum} != e2e {}",
+                w.job,
+                w.e2e_ns()
             );
-            if rec.dropped() > 0 {
-                overflowed += 1;
-            }
-
-            // The joiner must accept whatever survived the ring.
-            let a = Attribution::from_recorder(rec);
-            assert_eq!(
-                a.degraded,
-                rec.dropped() > 0,
-                "{label}: degraded flag must mirror ring drops"
-            );
-            for w in a.jobs.iter().filter(|w| w.complete) {
-                let sum: f64 = w.stages.iter().sum();
-                assert!(
-                    (sum - w.e2e_ns()).abs() < 1e-6,
-                    "{label}: job {} stages sum {sum} != e2e {}",
-                    w.job,
-                    w.e2e_ns()
-                );
-            }
         }
     }
     // The fuzz must actually exercise the overflow path: every run
     // offers a few hundred events against at most 128 slots.
     assert!(
         overflowed >= 10,
-        "only {overflowed}/20 cases overflowed; rings too large to test drops"
+        "only {overflowed}/20 cases overflowed; recorders too large to test drops"
     );
 }
 

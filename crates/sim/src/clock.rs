@@ -32,49 +32,19 @@ pub fn ns_to_ticks(ns: f64) -> u64 {
     (ns * TICKS_PER_NS as f64).ceil() as u64
 }
 
-/// A periodic clock domain: fires at `period`-tick intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Clock {
-    /// Ticks between edges.
-    pub period: u64,
-    /// Tick of the next edge.
-    pub next: u64,
-}
-
-impl Clock {
-    /// A clock from a period in picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period does not divide into whole ticks
-    /// (1 tick = 125/12 ps), i.e. `ps * 96` must be a multiple of 1000.
-    pub fn from_period_ps(ps: u64) -> Self {
-        let scaled = ps * TICKS_PER_NS;
-        // Allow sub-1% rounding (312 ps for 3.2 GHz stores as 30 ticks).
-        // Round-then-truncate is exact: any real period fits u64 ticks.
-        #[allow(clippy::cast_possible_truncation)]
-        let period = (scaled as f64 / 1000.0).round() as u64;
-        assert!(period > 0, "period {ps} ps too small for the tick base");
-        Clock { period, next: 0 }
-    }
-
-    /// Whether this clock has an edge at or before `t`; if so, advance
-    /// `next` to the first edge strictly after `t`.
-    ///
-    /// Time may jump past several edges at once (the event-driven core
-    /// skips idle stretches), so catch-up must cover every elapsed
-    /// period — advancing by a single period would leave `next` in the
-    /// past and replay stale edges on subsequent polls.
-    #[inline]
-    pub fn due(&mut self, t: u64) -> bool {
-        if t >= self.next {
-            let missed = (t - self.next) / self.period;
-            self.next += (missed + 1) * self.period;
-            true
-        } else {
-            false
-        }
-    }
+/// A clock's period in ticks, from its period in picoseconds.
+///
+/// # Panics
+///
+/// Panics if the period rounds to zero ticks (1 tick = 125/12 ps).
+pub fn period_ticks(ps: u64) -> u64 {
+    let scaled = ps * TICKS_PER_NS;
+    // Allow sub-1% rounding (312 ps for 3.2 GHz stores as 30 ticks).
+    // Round-then-truncate is exact: any real period fits u64 ticks.
+    #[allow(clippy::cast_possible_truncation)]
+    let period = (scaled as f64 / 1000.0).round() as u64;
+    assert!(period > 0, "period {ps} ps too small for the tick base");
+    period
 }
 
 #[cfg(test)]
@@ -83,9 +53,15 @@ mod tests {
 
     #[test]
     fn canonical_periods() {
-        assert_eq!(Clock::from_period_ps(312).period, 30); // 3.2 GHz
-        assert_eq!(Clock::from_period_ps(833).period, 80); // DDR4-2400
-        assert_eq!(Clock::from_period_ps(625).period, 60); // DDR4-3200
+        assert_eq!(period_ticks(312), 30); // 3.2 GHz
+        assert_eq!(period_ticks(833), 80); // DDR4-2400
+        assert_eq!(period_ticks(625), 60); // DDR4-3200
+    }
+
+    #[test]
+    #[should_panic(expected = "too small")]
+    fn sub_tick_periods_are_rejected() {
+        period_ticks(5);
     }
 
     #[test]
@@ -93,38 +69,5 @@ mod tests {
         assert_eq!(ns_to_ticks(ticks_to_ns(960)), 960);
         assert_eq!(ns_to_ticks(1.0), 96);
         assert!((ticks_to_ns(48) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn due_catches_up_over_multi_period_jumps() {
-        let mut c = Clock {
-            period: 30,
-            next: 0,
-        };
-        assert!(c.due(0));
-        assert_eq!(c.next, 30);
-        // Jump past six edges (30..=180). One poll must consume them all
-        // and leave `next` strictly after `t`.
-        assert!(c.due(200));
-        assert_eq!(c.next, 210);
-        assert!(!c.due(200));
-        assert!(!c.due(209));
-        assert!(c.due(210));
-        assert_eq!(c.next, 240);
-    }
-
-    #[test]
-    fn due_fires_every_period() {
-        let mut c = Clock {
-            period: 30,
-            next: 0,
-        };
-        let mut edges = 0;
-        for t in 0..300 {
-            if c.due(t) {
-                edges += 1;
-            }
-        }
-        assert_eq!(edges, 10);
     }
 }

@@ -1,12 +1,12 @@
 //! The clock-domain scheduler.
 //!
-//! [`ClockDomains`] owns one [`Clock`] grid per registered domain and
+//! [`ClockDomains`] owns one edge grid per registered domain and
 //! picks the next edge to deliver. `System` composes the machine over
 //! it: it registers one domain per component group, asks the scheduler
 //! which domains fire at the next edge, and calls each component's own
 //! `tick`, `skip_cycles` and `next_event_cycle`.
 
-use crate::clock::{ticks_to_ns, Clock, TICKS_PER_NS};
+use crate::clock::{period_ticks, ticks_to_ns, TICKS_PER_NS};
 use crate::timeq::TimeQ;
 use pim_telemetry::{CounterSet, Counters};
 
@@ -173,8 +173,7 @@ impl ClockDomains {
     /// Register a domain from a period in picoseconds; its first edge is
     /// at tick 0.
     pub fn add_period_ps(&mut self, label: &'static str, ps: u64) -> DomainId {
-        let period = Clock::from_period_ps(ps).period;
-        self.push(label, period, 0)
+        self.push(label, period_ticks(ps), 0)
     }
 
     /// Register a domain with a period in raw ticks whose first edge is
@@ -251,12 +250,6 @@ impl ClockDomains {
         self.q.push(next, d.0);
         self.prune();
         Some(skipped)
-    }
-
-    /// How many elided edges a [`take_due`](Self::take_due) of `d` at
-    /// its pending edge would fold in (0 unless the domain was deferred).
-    pub fn pending_missed(&self, d: DomainId) -> u64 {
-        self.domains[d.0].pending_skip
     }
 
     /// Edges of `d` delivered so far (the component's cycle count when
@@ -504,7 +497,6 @@ mod tests {
         // Defer to edge index 5 (tick 60): edges 1..=4 are elided.
         d.defer_to_edge(dom, 5);
         assert_eq!(d.next_edge(), 60);
-        assert_eq!(d.pending_missed(dom), 4);
         assert_eq!(d.take_due(dom, 60), Some(4));
         assert_eq!(d.delivered(dom), 6);
         assert_eq!(d.timing_stats().edges_skipped, 4);

@@ -36,7 +36,7 @@ pub mod timeq;
 pub mod transfer;
 
 pub use batch::{default_threads, run_batch, BatchPoint, Experiment};
-pub use clock::{ns_to_ticks, ticks_to_ns, Clock, TICKS_PER_NS};
+pub use clock::{ns_to_ticks, period_ticks, ticks_to_ns, TICKS_PER_NS};
 pub use config::TimingMode;
 pub use config::{DesignPoint, SystemConfig, ThreadAssignment};
 pub use engine::{ClockDomains, DomainId, Fired, TimingStats};

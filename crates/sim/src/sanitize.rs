@@ -28,8 +28,8 @@
 //!    composer holds its own registered domains to the same rule by
 //!    re-deriving their horizons and passing them to
 //!    [`System::sanitize_check_external`](crate::System::sanitize_check_external)
-//!    — the serving composer does so for its `runtime` and `hostq`
-//!    domains before every step;
+//!    — the serving composer does so for its host clock (the `runtime`
+//!    domain) before every step;
 //! 5. **agenda head** — the heap's next edge equals the minimum armed
 //!    `next()` over all domains (stale-entry pruning never let the
 //!    head rot).

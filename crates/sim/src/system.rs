@@ -304,14 +304,6 @@ impl System {
             .collect()
     }
 
-    /// How many elided edges domain `d`'s next fire will fold in — the
-    /// count of edges a composer must catch its external participant up
-    /// over before ticking it at the edge. Always 0 under the
-    /// cycle-stepped driver.
-    pub fn pending_missed(&self, d: DomainId) -> u64 {
-        self.clocks.pending_missed(d)
-    }
-
     /// Catch every engine's clock up to its cycle count at tick `now`
     /// exclusive (edges strictly before `now`), so composer-side reads
     /// of [`Dce::cycle`] (e.g. posted-cycle stamps on dispatch) are

@@ -7,8 +7,8 @@
 //!   timestamped [`SpanEvent`]s (arrival, dispatch-pick, doorbell,
 //!   device-start, suspend/resume/recall, retire, interrupt, complete)
 //!   tagged with tenant/shard/ring-seq into a bounded
-//!   [`FlightRecorder`] ring with a configurable [`DropPolicy`]. The
-//!   hot path is one predictable branch plus a `Copy` store into a
+//!   [`FlightRecorder`] that keeps the prefix of the run and counts
+//!   what overflows it. The hot path is one predictable branch plus a `Copy` store into a
 //!   preallocated buffer — no allocation, and a disabled recorder
 //!   returns before touching memory. Device-side components that do not
 //!   know wall-clock time record through a [`SpanTap`] (cycle-stamped,
@@ -56,6 +56,6 @@ pub use attribution::{Attribution, JobWaterfall, Stage, TailAttribution, STAGE_C
 pub use counters::{CounterSet, Counters, TelemetrySnapshot};
 pub use event::{SpanEvent, SpanKind, NO_JOB, NO_SEQ, NO_SHARD, NO_TENANT};
 pub use hist::{LogHistogram, HIST_BUCKETS};
-pub use recorder::{DropPolicy, FlightRecorder, SpanTap, TelemetryConfig};
+pub use recorder::{FlightRecorder, SpanTap, TelemetryConfig};
 pub use sampler::SampleSeries;
 pub use slo::{BreachKind, SloBreach, SloConfig, SloTracker};

@@ -1,34 +1,20 @@
-//! The flight recorder: a bounded span-event ring with a configurable
-//! drop policy, plus the cycle-stamped [`SpanTap`] device components
-//! record through.
+//! The flight recorder: a bounded span-event buffer that keeps the
+//! prefix of the run, plus the cycle-stamped [`SpanTap`] device
+//! components record through.
 
 use crate::event::SpanEvent;
-
-/// What to do when the flight recorder is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropPolicy {
-    /// Keep the oldest events; new events are counted and discarded
-    /// (the deterministic default — the ring's contents are a prefix of
-    /// the run, so partial traces are still causally closed).
-    DropNewest,
-    /// Overwrite the oldest events, keeping a sliding window of the
-    /// most recent ones (classic flight-recorder behavior for
-    /// investigating how a long run *ended*).
-    DropOldest,
-}
 
 /// Telemetry configuration, carried inside the runtime config so one
 /// struct plumbs the whole stack. Disabled (the default) costs one
 /// predictable branch per would-be event and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
-    /// Master switch: when false, no ring is allocated, no sampler
+    /// Master switch: when false, no buffer is allocated, no sampler
     /// domain is registered, and every record call returns immediately.
     pub enabled: bool,
     /// Flight-recorder capacity in events (preallocated at enable).
+    /// Once it is reached, new events are counted and discarded.
     pub capacity: usize,
-    /// Policy once `capacity` is reached.
-    pub drop: DropPolicy,
     /// Time-series sampling cadence, ns.
     pub sample_ns: f64,
 }
@@ -38,14 +24,13 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             capacity: 1 << 16,
-            drop: DropPolicy::DropNewest,
             sample_ns: 5_000.0,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// An enabled configuration with the default ring and cadence.
+    /// An enabled configuration with the default capacity and cadence.
     pub fn on() -> Self {
         TelemetryConfig {
             enabled: true,
@@ -54,17 +39,15 @@ impl TelemetryConfig {
     }
 }
 
-/// A bounded ring of [`SpanEvent`]s. The buffer is preallocated at
-/// construction; recording is a branch plus a `Copy` store. Iteration
-/// yields events in record order (oldest surviving first).
+/// A bounded buffer of [`SpanEvent`]s. The buffer is preallocated at
+/// construction; recording is a branch plus a `Copy` store. Once full,
+/// it keeps the oldest events and counts the newer ones as dropped, so
+/// its contents are a prefix of the run and a partial trace is still
+/// causally closed. Iteration yields events in record order.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     buf: Vec<SpanEvent>,
-    /// Index of the oldest event once the ring has wrapped
-    /// ([`DropPolicy::DropOldest`] only).
-    head: usize,
     capacity: usize,
-    policy: DropPolicy,
     enabled: bool,
     recorded: u64,
     dropped: u64,
@@ -76,9 +59,7 @@ impl FlightRecorder {
         let capacity = if cfg.enabled { cfg.capacity.max(1) } else { 0 };
         FlightRecorder {
             buf: Vec::with_capacity(capacity),
-            head: 0,
             capacity,
-            policy: cfg.drop,
             enabled: cfg.enabled,
             recorded: 0,
             dropped: 0,
@@ -99,15 +80,13 @@ impl FlightRecorder {
     }
 
     /// Record one event. Zero-allocation: the buffer never grows past
-    /// its preallocated capacity, and a disabled or full-with-
-    /// [`DropPolicy::DropNewest`] recorder only bumps a counter.
+    /// its preallocated capacity; a disabled recorder does nothing, and
+    /// a full one only bumps a counter.
     ///
     /// Accounting invariant: `recorded() + dropped()` equals the total
-    /// number of events ever offered to an enabled recorder, under
-    /// *both* drop policies — `recorded` counts events currently
-    /// retained, `dropped` counts events lost to the policy (a
-    /// [`DropPolicy::DropOldest`] overwrite retains the new event and
-    /// drops the overwritten one: one in, one out).
+    /// number of events ever offered to an enabled recorder —
+    /// `recorded` counts events retained, `dropped` those that arrived
+    /// after the buffer filled.
     #[inline]
     pub fn record(&mut self, ev: SpanEvent) {
         if !self.enabled {
@@ -116,15 +95,8 @@ impl FlightRecorder {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
             self.recorded += 1;
-            return;
-        }
-        match self.policy {
-            DropPolicy::DropNewest => self.dropped += 1,
-            DropPolicy::DropOldest => {
-                self.buf[self.head] = ev;
-                self.head = (self.head + 1) % self.capacity;
-                self.dropped += 1;
-            }
+        } else {
+            self.dropped += 1;
         }
     }
 
@@ -138,15 +110,13 @@ impl FlightRecorder {
         self.buf.is_empty()
     }
 
-    /// Events currently retained in the ring, as a counter
-    /// (== [`len`](Self::len)). `recorded() + dropped()` is the total
-    /// offered while enabled, under both drop policies.
+    /// Events retained, as a counter (== [`len`](Self::len)).
+    /// `recorded() + dropped()` is the total offered while enabled.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Events lost to the drop policy (dropped new ones or overwritten
-    /// old ones).
+    /// Events discarded because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -157,10 +127,9 @@ impl FlightRecorder {
         self.recorded + self.dropped
     }
 
-    /// Surviving events in record order (oldest first).
+    /// Retained events in record order.
     pub fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
-        let (wrapped, start) = self.buf.split_at(self.head.min(self.buf.len()));
-        start.iter().chain(wrapped.iter())
+        self.buf.iter()
     }
 }
 
@@ -276,7 +245,6 @@ mod tests {
         let mut r = FlightRecorder::new(TelemetryConfig {
             enabled: true,
             capacity: 3,
-            drop: DropPolicy::DropNewest,
             sample_ns: 1.0,
         });
         for i in 0..5 {
@@ -291,30 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_keeps_a_sliding_window() {
-        let mut r = FlightRecorder::new(TelemetryConfig {
-            enabled: true,
-            capacity: 3,
-            drop: DropPolicy::DropOldest,
-            sample_ns: 1.0,
-        });
-        for i in 0..5 {
-            r.record(ev(i as f64));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        assert_eq!(r.recorded(), 3, "an overwrite is one in, one out");
-        assert_eq!(r.offered(), 5);
-        let ts: Vec<f64> = r.iter().map(|e| e.t_ns).collect();
-        assert_eq!(ts, [2.0, 3.0, 4.0], "oldest surviving first");
-    }
-
-    #[test]
     fn recording_never_reallocates() {
         let mut r = FlightRecorder::new(TelemetryConfig {
             enabled: true,
             capacity: 8,
-            drop: DropPolicy::DropOldest,
             sample_ns: 1.0,
         });
         let cap = r.buf.capacity();

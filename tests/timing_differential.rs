@@ -13,9 +13,10 @@
 //! sweep: equality is only evidence if the idle-skip machinery and the
 //! continuation path actually engaged. Two dense scenarios keep the
 //! engines and rings busy with a standing backlog — the regime where
-//! the engine, ring-poller and decision-clock horizons sleep between
-//! their own events rather than across idle gaps — and one scenario is
-//! cut off by `run_for` while jobs are still in flight.
+//! the engine and host-clock horizons sleep between their own events
+//! rather than across idle gaps — and run again on a host clock slower
+//! than the engine; one scenario is cut off by `run_for` while jobs are
+//! still in flight.
 
 use pim_mmu::XferKind;
 use pim_runtime::{
@@ -187,9 +188,10 @@ fn scenario(seed: u64) -> Scenario {
 /// A dense scenario shaped like the benchmark's `serve_small`: four
 /// tenants of 512 B jobs on the synchronous depth-1 driver, FCFS, one
 /// shard — with arrivals every 2 µs on aggregate against a ~3.5 µs
-/// driver round trip, so a backlog forms and the decision clock sleeps
-/// on the busy driver between dispatches.
-fn dense_small(seed: u64) -> Scenario {
+/// driver round trip, so a backlog forms and the host clock sleeps on
+/// the busy driver between dispatches. `host_ps` is the host clock's
+/// period.
+fn dense_small(seed: u64, host_ps: u64) -> Scenario {
     let tenants = (0..4)
         .map(|i| TenantSpec::poisson(&format!("t{i}"), 8_000.0, 64, 8))
         .collect();
@@ -198,11 +200,15 @@ fn dense_small(seed: u64) -> Scenario {
             chunk_bytes: 16 << 10,
             open_until_ns: 40_000.0,
             seed,
+            hostq: HostQueueConfig {
+                poll_period_ps: host_ps,
+                ..HostQueueConfig::synchronous()
+            },
             ..RuntimeConfig::default()
         },
         tenants,
         policy: "fcfs",
-        label: format!("dense serve_small-shaped seed {seed}"),
+        label: format!("dense serve_small-shaped seed {seed}, {host_ps} ps host clock"),
     }
 }
 
@@ -210,7 +216,8 @@ fn dense_small(seed: u64) -> Scenario {
 /// urgent 4 KiB tenant beside scatter and gather bulk on two
 /// least-loaded shards with depth-4 rings, coalescing 2 @ 500 ns,
 /// strict priority with kick preemption and sweep continuation.
-fn dense_mixed(seed: u64, open_until_ns: f64) -> Scenario {
+/// `host_ps` is the host clock's period.
+fn dense_mixed(seed: u64, open_until_ns: f64, host_ps: u64) -> Scenario {
     let bulk = |name: &str, kind: XferKind| {
         let mut t = TenantSpec::poisson(name, 12_000.0, 1 << 10, 64);
         t.kind = kind;
@@ -227,7 +234,7 @@ fn dense_mixed(seed: u64, open_until_ns: f64) -> Scenario {
                 depth: 4,
                 coalesce_count: 2,
                 coalesce_timeout_ns: 500.0,
-                poll_period_ps: 312,
+                poll_period_ps: host_ps,
             },
             shards: 2,
             placement: Placement::LeastLoaded,
@@ -242,7 +249,7 @@ fn dense_mixed(seed: u64, open_until_ns: f64) -> Scenario {
             bulk("gather", XferKind::PimToDram),
         ],
         policy: "prio",
-        label: format!("dense serve_mixed-shaped seed {seed}"),
+        label: format!("dense serve_mixed-shaped seed {seed}, {host_ps} ps host clock"),
     }
 }
 
@@ -326,8 +333,8 @@ fn assert_serving_eq(a: &ServingSystem, b: &ServingSystem, label: &str) {
     assert_eq!(ha.doorbells, hb.doorbells, "{label}: doorbells");
     assert_eq!(ha.interrupts, hb.interrupts, "{label}: interrupts");
     assert_eq!(ha.max_in_flight, hb.max_in_flight, "{label}: max in flight");
-    // Every ring counter (polls, chain-silent completions, coalescer
-    // causes, recalls, in-flight sums) and every engine counter (busy,
+    // Every ring counter (chain-silent completions, coalescer causes,
+    // recalls, in-flight sums) and every engine counter (busy,
     // buffer-stall and drain cycles included), shard by shard.
     for (s, (qa, qb)) in ra.queue_pairs().iter().zip(rb.queue_pairs()).enumerate() {
         assert_eq!(qa.stats(), qb.stats(), "{label}: shard {s} ring stats");
@@ -409,11 +416,8 @@ fn randomized_serving_scenarios_are_bit_identical_and_actually_skip() {
 
 #[test]
 fn dense_serve_small_shape_is_bit_identical_and_sleeps_between_events() {
-    let sc = dense_small(1);
-    let (cs, cs_drained) = run_serving(&sc, TimingMode::CycleStepped);
-    let (ed, ed_drained) = run_serving(&sc, TimingMode::EventDriven);
-    assert!(cs_drained && ed_drained, "{}: both runs drain", sc.label);
-    assert_serving_eq(&cs, &ed, &sc.label);
+    let sc = dense_small(1, 312);
+    let ed = run_both_modes(&sc);
     let records = ed.runtime().records();
     assert!(
         records
@@ -423,11 +427,10 @@ fn dense_serve_small_shape_is_bit_identical_and_sleeps_between_events() {
         sc.label
     );
     // The engine wakes on its own events (issue, data return, retire),
-    // the poller on a retirement, the decision clock on arrivals, polls
-    // and driver-ready — a few dozen fires per job, not one per edge of
-    // the job's residency.
+    // the host on arrivals, retirements and driver-ready — a few dozen
+    // fires per job, not one per edge of the job's residency.
     let jobs = records.len() as u64;
-    for label in ["dce", "runtime", "hostq"] {
+    for label in ["dce", "runtime"] {
         let per_job = fires(&ed, label) / jobs;
         assert!(
             per_job <= 40,
@@ -439,11 +442,24 @@ fn dense_serve_small_shape_is_bit_identical_and_sleeps_between_events() {
 
 #[test]
 fn dense_serve_mixed_shape_is_bit_identical() {
-    let sc = dense_mixed(2, 20_000.0);
-    let (cs, cs_drained) = run_serving(&sc, TimingMode::CycleStepped);
-    let (ed, ed_drained) = run_serving(&sc, TimingMode::EventDriven);
+    assert_dense_mixed_is_bit_identical(&dense_mixed(2, 20_000.0, 312));
+}
+
+/// Run `sc` under both timing modes, require both to drain and to agree
+/// to the bit, and return the event-driven run.
+fn run_both_modes(sc: &Scenario) -> ServingSystem {
+    let (cs, cs_drained) = run_serving(sc, TimingMode::CycleStepped);
+    let (ed, ed_drained) = run_serving(sc, TimingMode::EventDriven);
     assert!(cs_drained && ed_drained, "{}: both runs drain", sc.label);
     assert_serving_eq(&cs, &ed, &sc.label);
+    ed
+}
+
+/// Run a `dense_mixed` scenario in both modes, compare them, and check
+/// that its preemption, fusion, coalescer-timer and chain-silent paths
+/// all engaged.
+fn assert_dense_mixed_is_bit_identical(sc: &Scenario) {
+    let ed = run_both_modes(sc);
     assert!(
         ed.runtime().preemptions() > 0,
         "{}: no kick fired; the preemption horizon went untested",
@@ -462,12 +478,21 @@ fn dense_serve_mixed_shape_is_bit_identical() {
     );
 }
 
+/// A host clock slower than the engine (625 ps against 312 ps): host
+/// edges fall on every other engine cycle, so a retired record waits up
+/// to a host period for its poll.
+#[test]
+fn dense_shapes_on_a_slower_host_clock_are_bit_identical() {
+    run_both_modes(&dense_small(1, 625));
+    assert_dense_mixed_is_bit_identical(&dense_mixed(2, 20_000.0, 625));
+}
+
 #[test]
 fn run_for_cut_off_mid_flight_is_bit_identical() {
     // Cut the run while the bulk tenants' chunks are still moving: the
     // horizon lands between the events each mode happens to arm, so the
     // counters read afterwards must not depend on which edges those are.
-    let sc = dense_mixed(3, 40_000.0);
+    let sc = dense_mixed(3, 40_000.0, 312);
     let horizon_ns = 15_000.0;
     let mut cs = build_serving(&sc, TimingMode::CycleStepped);
     let mut ed = build_serving(&sc, TimingMode::EventDriven);
