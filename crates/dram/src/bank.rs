@@ -111,17 +111,15 @@ impl Rank {
             .all(|bg| bg.banks.iter().all(|b| b.open_row.is_none()))
     }
 
-    /// Iterate over `(bank_group, bank)` indices of currently open banks.
-    pub fn open_banks(&self) -> Vec<(u32, u32)> {
-        let mut v = Vec::new();
-        for (g, bg) in self.bank_groups.iter().enumerate() {
-            for (b, bank) in bg.banks.iter().enumerate() {
-                if bank.open_row.is_some() {
-                    v.push((g as u32, b as u32));
-                }
-            }
-        }
-        v
+    /// The `(bank_group, bank)` indices of currently open banks, in
+    /// index order.
+    pub fn open_banks(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0u32..).zip(&self.bank_groups).flat_map(|(g, bg)| {
+            (0u32..)
+                .zip(&bg.banks)
+                .filter(|(_, bank)| bank.open_row.is_some())
+                .map(move |(b, _)| (g, b))
+        })
     }
 }
 
@@ -156,6 +154,6 @@ mod tests {
         assert!(r.all_banks_closed());
         r.bank_groups[1].banks[0].open_row = Some(7);
         assert!(!r.all_banks_closed());
-        assert_eq!(r.open_banks(), vec![(1, 0)]);
+        assert!(r.open_banks().eq([(1, 0)]));
     }
 }

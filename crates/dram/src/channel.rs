@@ -1,6 +1,6 @@
 //! Channel-level DRAM state: command legality and timing propagation.
 
-use crate::bank::{NextTable, Rank};
+use crate::bank::{Bank, BankGroup, NextTable, Rank};
 use crate::timing::{Command, TimingParams};
 use pim_mapping::{DramAddr, Organization};
 
@@ -54,19 +54,40 @@ impl ChannelState {
 
     /// The row currently open in the addressed bank, if any.
     pub fn open_row(&self, addr: &DramAddr) -> Option<u64> {
-        self.bank_ref(addr).open_row
-    }
-
-    fn bank_ref(&self, addr: &DramAddr) -> &crate::bank::Bank {
-        &self.ranks[addr.rank as usize].bank_groups[addr.bank_group as usize].banks
-            [addr.bank as usize]
+        self.path(addr).2.open_row
     }
 
     /// Earliest cycle at which `cmd` may legally be issued to `addr`.
     pub fn earliest(&self, cmd: Command, addr: &DramAddr) -> u64 {
+        let (rank, bg, bank) = self.path(addr);
+        self.earliest_on(cmd, rank, bg, bank)
+    }
+
+    /// The command a request to `addr` needs next — `col` (RD or WR)
+    /// if its row is open, ACT if its bank is closed, PRE if another
+    /// row is open — and the earliest cycle at which it may issue. The
+    /// cycle depends only on the bank, so requests to one bank that
+    /// need the same command share it.
+    pub fn next_command(&self, col: Command, addr: &DramAddr) -> (Command, u64) {
+        let (rank, bg, bank) = self.path(addr);
+        let cmd = match bank.open_row {
+            Some(row) if row == addr.row => col,
+            Some(_) => Command::Pre,
+            None => Command::Act,
+        };
+        (cmd, self.earliest_on(cmd, rank, bg, bank))
+    }
+
+    /// The rank, bank group and bank that `addr` names.
+    fn path(&self, addr: &DramAddr) -> (&Rank, &BankGroup, &Bank) {
         let rank = &self.ranks[addr.rank as usize];
         let bg = &rank.bank_groups[addr.bank_group as usize];
-        let bank = &bg.banks[addr.bank as usize];
+        (rank, bg, &bg.banks[addr.bank as usize])
+    }
+
+    /// [`earliest`](Self::earliest) for the bank at the end of a
+    /// [`path`](Self::path).
+    fn earliest_on(&self, cmd: Command, rank: &Rank, bg: &BankGroup, bank: &Bank) -> u64 {
         let mut t = self
             .chan_next
             .earliest(cmd)
@@ -84,15 +105,15 @@ impl ChannelState {
     /// addressed row open; PRE needs an open bank; REF needs all banks of
     /// the rank closed).
     pub fn can_issue(&self, cmd: Command, addr: &DramAddr, now: u64) -> bool {
-        if now < self.earliest(cmd, addr) {
+        let (rank, bg, bank) = self.path(addr);
+        if now < self.earliest_on(cmd, rank, bg, bank) {
             return false;
         }
-        let bank = self.bank_ref(addr);
         match cmd {
             Command::Act => bank.open_row.is_none(),
             Command::Pre => bank.open_row.is_some(),
             Command::Rd | Command::Wr => bank.open_row == Some(addr.row),
-            Command::Ref => self.ranks[addr.rank as usize].all_banks_closed(),
+            Command::Ref => rank.all_banks_closed(),
         }
     }
 
@@ -109,7 +130,6 @@ impl ChannelState {
             "illegal {cmd} to {addr} at cycle {now}"
         );
         let t = self.timing;
-        let n_ranks = self.ranks.len();
         let this_rank = addr.rank as usize;
         match cmd {
             Command::Act => {
@@ -183,7 +203,6 @@ impl ChannelState {
                 rank.refresh_deadline += t.refi;
             }
         }
-        let _ = n_ranks;
     }
 }
 

@@ -18,7 +18,9 @@ pub struct ControllerConfig {
     pub write_q_cap: usize,
     /// Entering write-drain mode at this write-queue occupancy.
     pub write_hi_watermark: usize,
-    /// Leaving write-drain mode at this occupancy.
+    /// Leaving write-drain mode at this occupancy. Must be below
+    /// `write_hi_watermark`, or the mode could flip on every idle tick
+    /// and [`MemController::skip_cycles`] would not match ticking.
     pub write_lo_watermark: usize,
     /// Whether refresh is modeled.
     pub refresh: bool,
@@ -73,9 +75,17 @@ pub struct MemController {
     /// there keeps [`next_event_cycle`](Self::next_event_cycle) O(1) in
     /// the rank count on the hot idle-skip path.
     refresh_min: u64,
-    /// Scratch bitset for [`schedule`](Self::schedule), one bit per bank
-    /// of the channel: the banks whose open row a queued request wants.
-    wanted_rows: Vec<u64>,
+    /// Scratch bitset for the queue scans of [`schedule`](Self::schedule)
+    /// and [`issue_horizon`](Self::issue_horizon), one bit per bank of
+    /// the channel: the banks a scan has already costed. Every request
+    /// to a costed bank needs the same command at the same cycle, and a
+    /// bank whose open row a queued hit wants is always costed, which
+    /// keeps a PRE off it.
+    costed: Vec<u64>,
+    /// Memo of [`event_horizon`](Self::event_horizon), `None` when stale.
+    /// Its inputs change only in [`tick`](Self::tick) and
+    /// [`enqueue`](Self::enqueue), which clear it.
+    horizon: Option<u64>,
 }
 
 impl MemController {
@@ -86,6 +96,10 @@ impl MemController {
 
     /// Create a controller with explicit policy knobs.
     pub fn with_config(org: Organization, timing: TimingParams, cfg: ControllerConfig) -> Self {
+        debug_assert!(
+            cfg.write_lo_watermark < cfg.write_hi_watermark,
+            "write-drain watermarks need lo < hi"
+        );
         let mut state = ChannelState::new(org, timing);
         // Stagger refresh deadlines across ranks so they do not all stall
         // the channel simultaneously.
@@ -110,7 +124,8 @@ impl MemController {
             stats: ChannelStats::default(),
             command_log: None,
             refresh_min,
-            wanted_rows: vec![0; org.banks_per_channel().div_ceil(64) as usize],
+            costed: vec![0; org.banks_per_channel().div_ceil(64) as usize],
+            horizon: None,
         }
     }
 
@@ -173,43 +188,126 @@ impl MemController {
 
     /// The earliest cycle at or after `clock` at which a tick does real
     /// work, or `None` if the controller is fully drained and refresh is
-    /// not modeled. With work queued (or undrained completions) that is
-    /// the current cycle; otherwise the next data return or the next
-    /// rank refresh deadline, whichever comes first.
+    /// not modeled. That is the current cycle while completions are
+    /// undrained; otherwise the earliest of the next data return, the
+    /// next rank refresh deadline, and the first cycle at which
+    /// FR-FCFS could issue a command from the queue the next tick's
+    /// drain mode selects (a row hit at RD/WR, a closed bank at ACT, a
+    /// request blocked by another open row at PRE unless a queued hit
+    /// wants that row).
     ///
-    /// Cycles before the returned horizon are provably no-ops (empty
-    /// queues contribute zero occupancy, no return is due, no refresh
-    /// deadline passes), so a scheduler may skip them via
-    /// [`skip_cycles`](Self::skip_cycles) without changing any result.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        if !self.read_q.is_empty() || !self.write_q.is_empty() || !self.completions.is_empty() {
+    /// None of those inputs changes until a tick issues a command or
+    /// retires a return, or a request is enqueued, so every cycle before
+    /// the returned horizon is an idle tick, and a scheduler may skip
+    /// them via [`skip_cycles`](Self::skip_cycles) without changing any
+    /// result. The value is memoized until the next tick or enqueue.
+    pub fn next_event_cycle(&mut self) -> Option<u64> {
+        if !self.completions.is_empty() {
             return Some(self.clock);
         }
-        let mut horizon: Option<u64> = None;
-        let mut merge = |t: u64| {
-            horizon = Some(horizon.map_or(t, |h: u64| h.min(t)));
+        let h = match self.horizon {
+            Some(h) => {
+                debug_assert_eq!(
+                    h.max(self.clock),
+                    self.event_horizon().max(self.clock),
+                    "stale controller horizon memo"
+                );
+                h
+            }
+            None => {
+                let h = self.event_horizon();
+                self.horizon = Some(h);
+                h
+            }
         };
+        (h != u64::MAX).then(|| h.max(self.clock))
+    }
+
+    /// The uncached horizon behind
+    /// [`next_event_cycle`](Self::next_event_cycle), `u64::MAX` for none.
+    /// Any value at or before `clock` means "now".
+    fn event_horizon(&mut self) -> u64 {
+        let mut h = u64::MAX;
         // Returns are pushed in issue order with uniform latency per
         // kind, so each deque's front is its earliest due time.
         if let Some(&(t, _)) = self.read_returns.front() {
-            merge(t);
+            h = h.min(t);
         }
         if let Some(&(t, _)) = self.write_returns.front() {
-            merge(t);
+            h = h.min(t);
         }
         if self.cfg.refresh {
-            merge(self.refresh_min);
+            h = h.min(self.refresh_min);
         }
-        horizon.map(|h| h.max(self.clock))
+        if h <= self.clock {
+            return h;
+        }
+        self.issue_horizon(h)
     }
 
-    /// Catch up over `cycles` idle cycles at once — exactly equivalent
-    /// to that many [`tick`](Self::tick)s while no queue entry, data
-    /// return, or refresh deadline is live (the window guaranteed by
-    /// [`next_event_cycle`](Self::next_event_cycle)).
+    /// `bound` lowered to the first cycle at which
+    /// [`schedule`](Self::schedule) would issue a command if the channel
+    /// and queues stayed as they are. Before `bound` no refresh is due,
+    /// so no rank blocks an ACT or PRE.
+    fn issue_horizon(&mut self, bound: u64) -> u64 {
+        let (q, col_cmd) = if self.next_draining() {
+            (&self.write_q, Command::Wr)
+        } else {
+            (&self.read_q, Command::Rd)
+        };
+        let org = *self.state.organization();
+        let mut h = bound;
+        let mut conflicts = false;
+        self.costed.fill(0);
+        for p in q {
+            let a = &p.req.addr;
+            let b = bank_index(&org, a);
+            if is_set(&self.costed, b) {
+                continue;
+            }
+            let (cmd, t) = self.state.next_command(col_cmd, a);
+            if cmd == Command::Pre {
+                conflicts = true;
+                continue;
+            }
+            set(&mut self.costed, b);
+            h = h.min(t);
+            if h <= self.clock {
+                return h;
+            }
+        }
+        // A PRE counts only for a bank whose open row no queued hit
+        // wants, which needs the whole queue's hits first. Such a bank is
+        // still uncosted.
+        if conflicts {
+            for p in q {
+                let a = &p.req.addr;
+                let b = bank_index(&org, a);
+                if !is_set(&self.costed, b) {
+                    set(&mut self.costed, b);
+                    h = h.min(self.state.next_command(col_cmd, a).1);
+                }
+            }
+        }
+        h
+    }
+
+    /// Catch up over `cycles` idle cycles at once: exactly equivalent to
+    /// that many [`tick`](Self::tick)s that retire, refresh and issue
+    /// nothing (the window before
+    /// [`next_event_cycle`](Self::next_event_cycle)). Each such tick
+    /// still adds the queue lengths to the occupancy sums and applies
+    /// the write-drain mode update; the update is idempotent while the
+    /// queues stand still, so applying it once covers the span.
     pub fn skip_cycles(&mut self, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
         self.clock += cycles;
         self.stats.elapsed_cycles += cycles;
+        self.stats.read_q_occupancy_sum += self.read_q.len() as u64 * cycles;
+        self.stats.write_q_occupancy_sum += self.write_q.len() as u64 * cycles;
+        self.update_drain_mode();
     }
 
     /// Whether a request of `kind` can currently be accepted.
@@ -249,6 +347,7 @@ impl MemController {
             AccessKind::Read => self.read_q.push_back(p),
             AccessKind::Write => self.write_q.push_back(p),
         }
+        self.horizon = None;
         Ok(())
     }
 
@@ -285,6 +384,7 @@ impl MemController {
             self.schedule(now);
         }
         self.clock += 1;
+        self.horizon = None;
     }
 
     /// Whether `rank` currently has a refresh due (blocks new activates).
@@ -319,33 +419,36 @@ impl MemController {
             return false;
         }
         // Precharge open banks one at a time.
-        for (g, b) in self.state.rank(r).open_banks() {
-            let addr = DramAddr {
+        let pre = self
+            .state
+            .rank(r)
+            .open_banks()
+            .map(|(g, b)| DramAddr {
                 rank: r,
                 bank_group: g,
                 bank: b,
                 ..DramAddr::default()
-            };
-            if self.state.can_issue(Command::Pre, &addr, now) {
-                self.issue_cmd(Command::Pre, &addr, now);
-                self.stats.precharges += 1;
-                return true;
-            }
-        }
-        false
+            })
+            .find(|addr| self.state.can_issue(Command::Pre, addr, now));
+        let Some(addr) = pre else { return false };
+        self.issue_cmd(Command::Pre, &addr, now);
+        self.stats.precharges += 1;
+        true
     }
 
     fn update_drain_mode(&mut self) {
+        self.draining = self.next_draining();
+    }
+
+    /// The drain mode the next [`update_drain_mode`](Self::update_drain_mode)
+    /// selects. With `write_lo_watermark < write_hi_watermark` it is a
+    /// fixed point: a second update with the same queues keeps it.
+    fn next_draining(&self) -> bool {
+        let (reads, writes) = (self.read_q.len(), self.write_q.len());
         if self.draining {
-            if self.write_q.is_empty()
-                || (self.write_q.len() <= self.cfg.write_lo_watermark && !self.read_q.is_empty())
-            {
-                self.draining = false;
-            }
-        } else if self.write_q.len() >= self.cfg.write_hi_watermark
-            || (self.read_q.is_empty() && !self.write_q.is_empty())
-        {
-            self.draining = true;
+            !(writes == 0 || (writes <= self.cfg.write_lo_watermark && reads > 0))
+        } else {
+            writes >= self.cfg.write_hi_watermark || (reads == 0 && writes > 0)
         }
     }
 
@@ -371,43 +474,40 @@ impl MemController {
         }
 
         // One pass finds the first ready hit. On the way it notes the
-        // first request that may activate its closed bank and marks every
-        // bank whose open row a (not yet ready) hit still needs.
-        self.wanted_rows.fill(0);
+        // first request that may activate its closed bank, and costs
+        // each bank once.
+        let org = *self.state.organization();
+        self.costed.fill(0);
         let mut act = None;
         for (i, p) in q.iter().enumerate() {
             let a = &p.req.addr;
-            match self.state.open_row(a) {
-                Some(row) if row == a.row => {
-                    if self.state.can_issue(col_cmd, a, now) {
-                        let p = self.queue_mut(kind).remove(i).expect("index in range");
-                        self.issue_column(now, col_cmd, p);
-                        return;
-                    }
-                    let b = bank_index(self.state.organization(), a);
-                    self.wanted_rows[b / 64] |= 1 << (b % 64);
-                }
-                None if act.is_none()
-                    && !self.refresh_due(a.rank)
-                    && self.state.can_issue(Command::Act, a, now) =>
-                {
-                    act = Some(i);
-                }
-                _ => {}
+            let b = bank_index(&org, a);
+            if is_set(&self.costed, b) {
+                continue;
+            }
+            let (cmd, t) = self.state.next_command(col_cmd, a);
+            if cmd == col_cmd && t <= now {
+                let p = self.queue_mut(kind).remove(i).expect("index in range");
+                self.issue_column(now, col_cmd, p);
+                return;
+            }
+            if cmd == Command::Act && act.is_none() && t <= now && !self.refresh_due(a.rank) {
+                act = Some(i);
+            }
+            if cmd != Command::Pre {
+                set(&mut self.costed, b);
             }
         }
 
         let (cmd, i) = if let Some(i) = act {
             (Command::Act, i)
         } else {
-            let org = self.state.organization();
+            // An uncosted bank is open with no hit queued for its row.
             let pre = q.iter().position(|p| {
                 let a = &p.req.addr;
-                let b = bank_index(org, a);
-                matches!(self.state.open_row(a), Some(row) if row != a.row)
-                    && self.wanted_rows[b / 64] & (1 << (b % 64)) == 0
+                !is_set(&self.costed, bank_index(&org, a))
                     && !self.refresh_due(a.rank)
-                    && self.state.can_issue(Command::Pre, a, now)
+                    && self.state.next_command(col_cmd, a).1 <= now
             });
             let Some(i) = pre else { return };
             (Command::Pre, i)
@@ -467,6 +567,14 @@ impl MemController {
 /// Position of `addr`'s bank among the channel's banks.
 fn bank_index(org: &Organization, addr: &DramAddr) -> usize {
     ((addr.rank * org.bank_groups + addr.bank_group) * org.banks + addr.bank) as usize
+}
+
+fn is_set(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn set(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 #[cfg(test)]
@@ -675,5 +783,57 @@ mod tests {
         assert_eq!(ctrl.stats().precharges, 1);
         assert_eq!(ctrl.channel_state().open_row(&kept), Some(0));
         assert_eq!(ctrl.channel_state().open_row(&other), None);
+    }
+
+    #[test]
+    fn a_sleeping_controller_enters_write_drain_as_a_ticked_one_does() {
+        // One read and 20 writes (between the watermarks) to one row.
+        // The read goes first; once it issues, the next tick turns write
+        // drain on, because the read queue is empty. The first write then
+        // waits out the read-to-write turnaround, so the controller
+        // sleeps. A read that arrives while it sleeps must still find the
+        // drain on (20 writes > the low watermark) and wait behind the
+        // writes, exactly as under per-cycle ticking.
+        let org = Organization::ddr4_dimm(1, 1);
+        let cfg = ControllerConfig {
+            refresh: false,
+            ..ControllerConfig::default()
+        };
+        let at = |col| DramAddr {
+            col,
+            ..DramAddr::default()
+        };
+        let mut ticked = MemController::with_config(org, TimingParams::ddr4_2400(), cfg);
+        ticked.enable_command_log();
+        ticked
+            .enqueue(MemRequest::read(0, PhysAddr(0), at(0), Default::default()))
+            .unwrap();
+        for col in 1..=20 {
+            let req = MemRequest::write(col.into(), PhysAddr(0), at(col), Default::default());
+            ticked.enqueue(req).unwrap();
+        }
+        while !ticked.read_q.is_empty() {
+            ticked.tick();
+        }
+        let mut sleeper = ticked.clone();
+        let arrival = sleeper.clock() + 2;
+        let wake = sleeper.next_event_cycle().expect("writes are queued");
+        assert!(wake > arrival, "the sleeper must sleep past the arrival");
+        while ticked.clock() < arrival {
+            ticked.tick();
+        }
+        sleeper.skip_cycles(arrival - sleeper.clock());
+        assert_eq!(sleeper.draining, ticked.draining);
+        let late = MemRequest::read(21, PhysAddr(0), at(21), Default::default());
+        for c in [&mut ticked, &mut sleeper] {
+            c.enqueue(late).unwrap();
+            while !c.idle() {
+                c.tick();
+            }
+        }
+        assert_eq!(sleeper.command_log(), ticked.command_log());
+        let log = ticked.command_log().unwrap();
+        let first = log.iter().find(|c| c.cycle >= arrival).unwrap();
+        assert_eq!((first.cmd, first.cycle), (Command::Wr, wake));
     }
 }

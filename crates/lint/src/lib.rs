@@ -13,10 +13,10 @@
 //!
 //! | id | scope | what it rejects |
 //! |----|-------|-----------------|
-//! | `hash-collections` | `crates/{sim,core,runtime,telemetry}/src` | any `HashMap`/`HashSet` use — hash-iteration order is nondeterministic across builds, and SipHash is slow on hot paths |
+//! | `hash-collections` | `crates/{sim,core,dram,runtime,telemetry}/src` | any `HashMap`/`HashSet` use — hash-iteration order is nondeterministic across builds, and SipHash is slow on hot paths |
 //! | `wall-clock` | everywhere except the self-profiler (`sim/src/system.rs`, `runtime/src/serving.rs`) and `crates/bench` | `Instant::now()` / `SystemTime::now()` — host time must never leak into simulated time |
-//! | `truncating-cast` | `crates/{sim,core,hostq,runtime}/src` | bare `as u8/u16/u32/i8/i16/i32` between integer widths — use `try_from` or a widening cast |
-//! | `no-f32` | `crates/{sim,core,hostq,runtime,telemetry}/src` | any `f32` — all model arithmetic is `f64`; mixing widths changes rounding between platforms |
+//! | `truncating-cast` | `crates/{sim,core,dram,hostq,runtime}/src` | bare `as u8/u16/u32/i8/i16/i32` between integer widths — use `try_from` or a widening cast |
+//! | `no-f32` | `crates/{sim,core,dram,hostq,runtime,telemetry}/src` | any `f32` — all model arithmetic is `f64`; mixing widths changes rounding between platforms |
 //! | `bench-smoke` | workspace | a `crates/bench` bin that commits a `BENCH_*.json` artifact but lacks `--smoke` support or a `--smoke` CI step in `.github/workflows/ci.yml` |
 //!
 //! ## Allowlist
@@ -86,6 +86,7 @@ impl fmt::Display for Violation {
 const HASH_SCOPED: &[&str] = &[
     "crates/sim/src/",
     "crates/core/src/",
+    "crates/dram/src/",
     "crates/runtime/src/",
     "crates/telemetry/src/",
 ];
@@ -94,6 +95,7 @@ const HASH_SCOPED: &[&str] = &[
 const CAST_SCOPED: &[&str] = &[
     "crates/sim/src/",
     "crates/core/src/",
+    "crates/dram/src/",
     "crates/hostq/src/",
     "crates/runtime/src/",
 ];
@@ -102,6 +104,7 @@ const CAST_SCOPED: &[&str] = &[
 const F32_SCOPED: &[&str] = &[
     "crates/sim/src/",
     "crates/core/src/",
+    "crates/dram/src/",
     "crates/hostq/src/",
     "crates/runtime/src/",
     "crates/telemetry/src/",

@@ -26,6 +26,12 @@ fn hash_collections_fixture_trips() {
         include_str!("fixtures/hash_collections.rs"),
     );
     assert_eq!(rules_of(&core), vec!["hash-collections"; 2], "{core:?}");
+    // So is the memory controller: its queues are scanned every tick.
+    let dram = lint_source(
+        "crates/dram/src/fixture.rs",
+        include_str!("fixtures/hash_collections.rs"),
+    );
+    assert_eq!(rules_of(&dram), vec!["hash-collections"; 2], "{dram:?}");
 }
 
 #[test]

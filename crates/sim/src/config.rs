@@ -70,7 +70,8 @@ impl DesignPoint {
 /// agenda straight to the next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TimingMode {
-    /// Reference driver: every domain fires at every one of its edges.
+    /// Reference driver: every domain fires at every one of its edges,
+    /// and every memory controller ticks at each of its group's edges.
     CycleStepped,
     /// Next-event core: quiescent domains are parked and their edges
     /// skipped; cross-component inputs re-arm them at aligned edges.

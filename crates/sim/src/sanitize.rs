@@ -18,8 +18,10 @@
 //! 3. **skip reconciliation** — no component's clock, and no domain's
 //!    delivered-edge count, is ever *ahead* of the grid at `now`;
 //! 4. **lost-wakeup / stale-horizon** — every internal component's
-//!    horizon is *re-derived* from scratch via `next_event_cycle`
-//!    ([`CpuCluster`], [`Dce`] and [`MemController`]); a domain
+//!    horizon is *re-derived* via `next_event_cycle` ([`CpuCluster`],
+//!    [`Dce`] and [`MemController`]; a controller memoizes its horizon
+//!    until its next tick or enqueue, and debug builds re-check each
+//!    memo against a fresh derivation); a domain
 //!    whose component reports work at edge `e` must be armed, at an
 //!    edge no later than `e` (a parked domain with work is a lost
 //!    wakeup; an armed one aimed past `e` is a stale horizon). This

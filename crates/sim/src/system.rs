@@ -477,13 +477,20 @@ impl System {
     /// component that issued each request. `target` is the group
     /// domain's delivered-edge count minus one: each controller is first
     /// caught up over any edges skipped while it was quiescent, so its
-    /// clock entering the tick equals the cycle-stepped driver's.
+    /// clock entering the edge equals the cycle-stepped driver's.
+    ///
+    /// Under [`TimingMode::EventDriven`] the group fires at its
+    /// earliest member's horizon, so only the controllers whose horizon
+    /// is their current cycle tick; each of the others is moved on by
+    /// one idle cycle, which its horizon proves equal to a tick. The
+    /// cycle-stepped reference ticks every controller on every edge.
     ///
     /// An engine completion is a cross-domain input. The engines' phase
     /// at `t` already ran, so a parked engine is caught up through `t`
     /// in its pre-completion state, then woken at its first edge after
     /// `t` if the completion lets it act.
     fn tick_controllers(&mut self, space: MemSpace, target: u64) {
+        let every_edge = self.cfg.timing == TimingMode::CycleStepped;
         let ctrls = match space {
             MemSpace::Dram => &mut self.dram,
             MemSpace::Pim => &mut self.pim,
@@ -494,8 +501,12 @@ impl System {
             if deficit > 0 {
                 c.skip_cycles(deficit);
             }
-            c.tick();
-            done.extend(c.drain_completions());
+            if every_edge || c.next_event_cycle() == Some(c.clock()) {
+                c.tick();
+                done.extend(c.drain_completions());
+            } else {
+                c.skip_cycles(1);
+            }
         }
         let t = self.t;
         for c in done {
@@ -673,13 +684,19 @@ impl System {
                 Self::apply_horizon(&mut self.clocks, self.domains.dce[s], h);
             }
         }
+        // A controller horizon scans a queue, so the self-profile
+        // credits it to the group's domain, as it does the tick.
         if hit(self.domains.dram) {
-            let h = Self::group_horizon(&self.dram);
+            let t0 = self.phase_timer();
+            let h = Self::group_horizon(&mut self.dram);
             Self::apply_horizon(&mut self.clocks, self.domains.dram, h);
+            self.phase_credit(self.domains.dram, t0);
         }
         if hit(self.domains.pim) {
-            let h = Self::group_horizon(&self.pim);
+            let t0 = self.phase_timer();
+            let h = Self::group_horizon(&mut self.pim);
             Self::apply_horizon(&mut self.clocks, self.domains.pim, h);
+            self.phase_credit(self.domains.pim, t0);
         }
     }
 
@@ -687,10 +704,12 @@ impl System {
     /// (`None` only if every controller is parked-able). Each
     /// controller's horizon is in its own cycle count, which is also its
     /// grid-edge index, so the group minimum is the first edge any
-    /// member needs.
-    fn group_horizon(ctrls: &[MemController]) -> Option<u64> {
+    /// member needs; [`tick_controllers`](Self::tick_controllers) ticks
+    /// exactly the members due there. Horizons are memoized per
+    /// controller, so a member that did not tick costs no queue scan.
+    fn group_horizon(ctrls: &mut [MemController]) -> Option<u64> {
         ctrls
-            .iter()
+            .iter_mut()
             .filter_map(MemController::next_event_cycle)
             .min()
     }
@@ -887,7 +906,7 @@ impl System {
     /// Panics if the DRAM group is fully quiescent (nothing to
     /// overshoot past; with refresh modeled this cannot happen).
     pub fn sanitize_inject_stale_horizon(&mut self) {
-        let h = Self::group_horizon(&self.dram).expect("DRAM group has a horizon to overshoot");
+        let h = Self::group_horizon(&mut self.dram).expect("DRAM group has a horizon to overshoot");
         let e = h.max(self.clocks.delivered(self.domains.dram));
         self.clocks.defer_to_edge(self.domains.dram, e + 64);
     }
@@ -897,7 +916,7 @@ impl System {
     /// missed-doorbell shape). The next `step` must flag it.
     pub fn sanitize_inject_lost_wakeup(&mut self) {
         assert!(
-            Self::group_horizon(&self.dram).is_some(),
+            Self::group_horizon(&mut self.dram).is_some(),
             "DRAM group must have work for the park to lose"
         );
         self.clocks.park(self.domains.dram);
@@ -935,8 +954,8 @@ impl System {
     fn sanitize_horizons(&mut self) {
         let mut horizons: Vec<(DomainId, Option<u64>)> = vec![
             (self.domains.cpu, self.cluster.next_event_cycle()),
-            (self.domains.dram, Self::group_horizon(&self.dram)),
-            (self.domains.pim, Self::group_horizon(&self.pim)),
+            (self.domains.dram, Self::group_horizon(&mut self.dram)),
+            (self.domains.pim, Self::group_horizon(&mut self.pim)),
         ];
         for (s, e) in self.engines.iter().enumerate() {
             horizons.push((self.domains.dce[s], e.next_event_cycle()));

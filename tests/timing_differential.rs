@@ -359,6 +359,29 @@ fn assert_serving_eq(a: &ServingSystem, b: &ServingSystem, label: &str) {
         rb.preemptions(),
         "{label}: engine preemptions"
     );
+    // Every controller's request-driven counters, channel by channel.
+    // Precharges, refreshes, elapsed cycles and occupancy sums are left
+    // out: they depend on where each run stops.
+    let (sa, sb) = (a.system(), b.system());
+    for (group, xs, ys) in [
+        ("dram", sa.dram_controllers(), sb.dram_controllers()),
+        ("pim", sa.pim_controllers(), sb.pim_controllers()),
+    ] {
+        for (ch, (x, y)) in xs.iter().zip(ys).enumerate() {
+            let (x, y) = (x.stats(), y.stats());
+            for (name, p, q) in [
+                ("reads", x.reads, y.reads),
+                ("writes", x.writes, y.writes),
+                ("activates", x.activates, y.activates),
+                ("row hits", x.row_hits, y.row_hits),
+                ("row misses", x.row_misses, y.row_misses),
+                ("row conflicts", x.row_conflicts, y.row_conflicts),
+                ("busy data cycles", x.busy_data_cycles, y.busy_data_cycles),
+            ] {
+                assert_eq!(p, q, "{label}: {group} channel {ch} {name}");
+            }
+        }
+    }
 }
 
 /// Chunks that continued their predecessor's sweep, over all engines.
