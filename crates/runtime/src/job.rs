@@ -5,6 +5,10 @@ use pim_mapping::PhysAddr;
 use pim_mmu::{OpError, PimMmuOp, SuspendedTransfer, XferKind};
 use std::collections::VecDeque;
 
+/// Max per-core entries per dispatched chunk: Table I's 64 KiB DCE
+/// address buffer at 16 B per entry.
+const MAX_CHUNK_ENTRIES: usize = 4096;
+
 /// A tenant-level transfer request: move `per_core_bytes` to/from each of
 /// `n_cores` PIM cores, staged at `dram_base` on the host side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +110,9 @@ pub struct Job {
 }
 
 impl Job {
-    /// Build a job, chunking its descriptor to at most `chunk_bytes` /
-    /// `max_entries` per dispatched op.
+    /// Build a job, chunking its descriptor to at most `chunk_bytes`
+    /// and the DCE address buffer's 4,096 per-core entries per
+    /// dispatched op.
     ///
     /// # Errors
     ///
@@ -118,10 +123,9 @@ impl Job {
         submit_ns: f64,
         spec: &JobSpec,
         chunk_bytes: u64,
-        max_entries: usize,
     ) -> Result<Self, OpError> {
         let op = spec.op()?;
-        let chunks: VecDeque<PimMmuOp> = op.chunks(chunk_bytes, max_entries)?.into();
+        let chunks: VecDeque<PimMmuOp> = op.chunks(chunk_bytes, MAX_CHUNK_ENTRIES)?.into();
         Ok(Job {
             id,
             tenant,
@@ -226,8 +230,16 @@ mod tests {
     }
 
     #[test]
+    fn chunks_fit_the_table1_address_buffer() {
+        assert_eq!(
+            MAX_CHUNK_ENTRIES,
+            pim_mmu::DceConfig::table1().addr_buffer_entries()
+        );
+    }
+
+    #[test]
     fn job_chunks_cover_the_spec() {
-        let job = Job::new(7, 2, 100.0, &spec(), 8 << 10, 4096).unwrap();
+        let job = Job::new(7, 2, 100.0, &spec(), 8 << 10).unwrap();
         assert_eq!(job.id, 7);
         assert!(job.chunks.len() > 1);
         let total: u64 = job.chunks.iter().map(|c| c.total_bytes()).sum();
@@ -241,13 +253,13 @@ mod tests {
         let mut s = spec();
         s.n_cores = 0;
         assert!(matches!(
-            Job::new(0, 0, 0.0, &s, 1 << 20, 4096),
+            Job::new(0, 0, 0.0, &s, 1 << 20),
             Err(OpError::Empty)
         ));
         let mut s = spec();
         s.per_core_bytes = 0;
         assert!(matches!(
-            Job::new(0, 0, 0.0, &s, 1 << 20, 4096),
+            Job::new(0, 0, 0.0, &s, 1 << 20),
             Err(OpError::BadSize(0))
         ));
     }

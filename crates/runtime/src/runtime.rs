@@ -43,6 +43,11 @@ use pim_sim::{period_ticks, HOST_BUFFER_BASE, TICKS_PER_NS};
 use pim_telemetry::{FlightRecorder, SpanEvent, SpanKind, TelemetryConfig};
 use std::collections::{BTreeMap, VecDeque};
 
+/// DRAM staging-buffer stride between tenants.
+const DRAM_STRIDE: u64 = 128 << 20;
+/// MRAM heap-offset stride between tenants.
+const HEAP_STRIDE: u64 = 1 << 20;
+
 /// Where a policy-picked chunk is placed in a sharded runtime (which
 /// engine's queue pair receives it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,8 +186,6 @@ pub struct RuntimeConfig {
     /// Engine quantum: max bytes per dispatched chunk. One tenant can
     /// monopolize the engine for at most this many bytes at a time.
     pub chunk_bytes: u64,
-    /// Max per-core entries per chunk (the DCE address-buffer budget).
-    pub max_entries: usize,
     /// Driver latency model applied around every chunk submission.
     pub driver: DriverModel,
     /// Arrivals are generated while `now < open_until_ns`; afterwards
@@ -190,10 +193,6 @@ pub struct RuntimeConfig {
     pub open_until_ns: f64,
     /// Master seed; tenant generators derive per-tenant streams.
     pub seed: u64,
-    /// DRAM staging-buffer stride between tenants.
-    pub dram_stride: u64,
-    /// MRAM heap-offset stride between tenants.
-    pub heap_stride: u64,
     /// Host submission-queue shape (ring depth, interrupt coalescing,
     /// and the host clock's period), with one ring per shard. The
     /// default is the identity point — depth 1, coalescing off — which
@@ -242,12 +241,9 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             chunk_bytes: 256 << 10,
-            max_entries: 4096,
             driver: DriverModel::default(),
             open_until_ns: 1e6,
             seed: 0xD15C0,
-            dram_stride: 128 << 20,
-            heap_stride: 1 << 20,
             hostq: HostQueueConfig::synchronous(),
             shards: 1,
             placement: Placement::HashPin,
@@ -653,18 +649,11 @@ impl Runtime {
                     n_cores,
                     core_base: u32::try_from(ti).expect("tenant count fits u32")
                         * self.cfg.core_stride,
-                    dram_base: PhysAddr(HOST_BUFFER_BASE + ti as u64 * self.cfg.dram_stride),
-                    heap_offset: ti as u64 * self.cfg.heap_stride,
+                    dram_base: PhysAddr(HOST_BUFFER_BASE + ti as u64 * DRAM_STRIDE),
+                    heap_offset: ti as u64 * HEAP_STRIDE,
                 };
-                let job = Job::new(
-                    self.next_job_id,
-                    ti,
-                    at_ns,
-                    &spec,
-                    self.cfg.chunk_bytes,
-                    self.cfg.max_entries,
-                )
-                .expect("samplers produce valid job shapes");
+                let job = Job::new(self.next_job_id, ti, at_ns, &spec, self.cfg.chunk_bytes)
+                    .expect("samplers produce valid job shapes");
                 self.next_job_id += 1;
                 t.stats.submitted += 1;
                 t.stats.bytes_submitted += job.total_bytes;

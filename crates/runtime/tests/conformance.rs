@@ -22,13 +22,16 @@
 //! These invariants were previously asserted piecemeal (and only for
 //! the no-preemption runtime) across `policy_properties.rs`,
 //! `shard_runtime.rs` and `hostq_runtime.rs`; this suite is the single
-//! parameterized home.
+//! parameterized home. The deterministic sweep drives each cell twice:
+//! through the testkit's cycle loop and through a [`ServingSystem`] on
+//! the event-driven machine.
 
 use pim_runtime::testkit::{quick_driver, run_to_drain_sharded, trace_tenant};
 use pim_runtime::{
-    policy_by_name, HostQueueConfig, Placement, Preemption, Runtime, RuntimeConfig, TenantSpec,
-    POLICY_NAMES,
+    policy_by_name, HostQueueConfig, Placement, Preemption, Runtime, RuntimeConfig, ServingSystem,
+    TenantSpec, POLICY_NAMES,
 };
+use pim_sim::{DesignPoint, SystemConfig};
 use proptest::prelude::*;
 
 /// A quantum short enough that the big chunks below actually get
@@ -101,11 +104,71 @@ fn build(
     (rt, expected)
 }
 
+/// The contract every drained run must meet, whichever loop drove it.
+fn assert_contract(
+    rt: &Runtime,
+    label: &str,
+    expected: &[u64],
+    preemption: Preemption,
+    shards: usize,
+    depth: usize,
+) {
+    // Exactly-once, loss-free.
+    let total_jobs = 4 + 4 + 3;
+    let mut ids: Vec<u64> = rt.records().iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (0..total_jobs).collect::<Vec<_>>(),
+        "{label}: completion ids"
+    );
+
+    // Byte conservation per tenant — partial credits from recalled
+    // chunks plus their resumed remainders must land exactly.
+    for (i, (_, stats)) in rt.tenant_stats().iter().enumerate() {
+        assert_eq!(stats.completed, stats.submitted, "{label}: t{i}");
+        assert_eq!(stats.bytes_completed, expected[i], "{label}: t{i} goodput");
+        assert_eq!(
+            stats.bytes_serviced, expected[i],
+            "{label}: t{i} serviced bytes"
+        );
+        assert_eq!(
+            stats.bytes_submitted, expected[i],
+            "{label}: t{i} offered bytes"
+        );
+    }
+
+    // Work conservation.
+    assert_eq!(rt.missed_dispatches(), 0, "{label}: policy idled");
+
+    // Every suspension was resumed by drain time, and the host ring saw
+    // exactly one recall per preemption.
+    assert_eq!(rt.preemptions(), rt.resumes(), "{label}");
+    assert_eq!(rt.host_stats().recalls, rt.preemptions(), "{label}");
+
+    // Bounded rings, and per-shard stats sum to the aggregate.
+    let agg = rt.host_stats();
+    assert!(agg.max_in_flight <= depth, "{label}: ring overflow");
+    let per_shard = rt.shard_host_stats();
+    assert_eq!(per_shard.len(), shards, "{label}");
+    let db: u64 = per_shard.iter().map(|s| s.doorbells).sum();
+    assert_eq!(db, agg.doorbells, "{label}");
+    let descs: u64 = per_shard.iter().map(|s| s.descriptors).sum();
+    assert_eq!(descs, agg.descriptors, "{label}");
+
+    // `Off` must never suspend anything.
+    if preemption == Preemption::Off {
+        assert_eq!(rt.preemptions(), 0, "{label}: Off suspended");
+    }
+}
+
 /// The deterministic sweep over the whole matrix: every cell drains
-/// with every invariant intact.
+/// with every invariant intact, both under the testkit's cycle loop and
+/// on the event-driven machine (real controllers, exact host, engine
+/// and controller horizons; shadow-checked under `--features
+/// sanitize`).
 #[test]
 fn every_policy_placement_and_preemption_mode_meets_the_contract() {
-    let total_jobs = 4 + 4 + 3;
     for policy in POLICY_NAMES {
         for placement in Placement::ALL {
             for preemption in preemption_modes() {
@@ -124,56 +187,16 @@ fn every_policy_placement_and_preemption_mode_meets_the_contract() {
                             build(policy, placement, preemption, shards, depth, hints);
                         let drained = run_to_drain_sharded(&mut rt, 20, 3_000_000);
                         assert!(drained.is_some(), "{label}: never drained");
+                        assert_contract(&rt, &label, &expected, preemption, shards, depth);
 
-                        // Exactly-once, loss-free.
-                        let mut ids: Vec<u64> = rt.records().iter().map(|r| r.id).collect();
-                        ids.sort_unstable();
-                        assert_eq!(
-                            ids,
-                            (0..total_jobs as u64).collect::<Vec<_>>(),
-                            "{label}: completion ids"
-                        );
-
-                        // Byte conservation per tenant — partial credits
-                        // from recalled chunks plus their resumed
-                        // remainders must land exactly.
-                        for (i, (_, stats)) in rt.tenant_stats().iter().enumerate() {
-                            assert_eq!(stats.completed, stats.submitted, "{label}: t{i}");
-                            assert_eq!(stats.bytes_completed, expected[i], "{label}: t{i} goodput");
-                            assert_eq!(
-                                stats.bytes_serviced, expected[i],
-                                "{label}: t{i} serviced bytes"
-                            );
-                            assert_eq!(
-                                stats.bytes_submitted, expected[i],
-                                "{label}: t{i} offered bytes"
-                            );
-                        }
-
-                        // Work conservation.
-                        assert_eq!(rt.missed_dispatches(), 0, "{label}: policy idled");
-
-                        // Every suspension was resumed by drain time, and
-                        // the host ring saw exactly one recall per
-                        // preemption.
-                        assert_eq!(rt.preemptions(), rt.resumes(), "{label}");
-                        assert_eq!(rt.host_stats().recalls, rt.preemptions(), "{label}");
-
-                        // Bounded rings, and per-shard stats sum to the
-                        // aggregate.
-                        let agg = rt.host_stats();
-                        assert!(agg.max_in_flight <= depth, "{label}: ring overflow");
-                        let per_shard = rt.shard_host_stats();
-                        assert_eq!(per_shard.len(), shards, "{label}");
-                        let db: u64 = per_shard.iter().map(|s| s.doorbells).sum();
-                        assert_eq!(db, agg.doorbells, "{label}");
-                        let descs: u64 = per_shard.iter().map(|s| s.descriptors).sum();
-                        assert_eq!(descs, agg.descriptors, "{label}");
-
-                        // `Off` must never suspend anything.
-                        if preemption == Preemption::Off {
-                            assert_eq!(rt.preemptions(), 0, "{label}: Off suspended");
-                        }
+                        let label = format!("{label}/event-driven");
+                        let (rt, expected) =
+                            build(policy, placement, preemption, shards, depth, hints);
+                        let mut serving =
+                            ServingSystem::new(SystemConfig::table1(DesignPoint::BaseDHP), rt);
+                        assert!(serving.run_until_drained(1e7), "{label}: never drained");
+                        let rt = serving.runtime();
+                        assert_contract(rt, &label, &expected, preemption, shards, depth);
                     }
                 }
             }

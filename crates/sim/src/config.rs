@@ -66,8 +66,8 @@ impl DesignPoint {
 /// Both modes produce bit-identical results (the differential suite in
 /// `tests/timing_differential.rs` pins this); `CycleStepped` is retained
 /// as the reference driver and costs a visit to every edge of every
-/// domain, while `EventDriven` parks quiescent domains and jumps the
-/// agenda straight to the next event.
+/// domain, while `EventDriven` parks quiescent domains and jumps
+/// straight to the earliest armed edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TimingMode {
     /// Reference driver: every domain fires at every one of its edges,

@@ -7,7 +7,6 @@
 //! `tick`, `skip_cycles` and `next_event_cycle`.
 
 use crate::clock::{period_ticks, ticks_to_ns, TICKS_PER_NS};
-use crate::timeq::TimeQ;
 use pim_telemetry::{CounterSet, Counters};
 
 /// Handle to one registered clock domain.
@@ -48,7 +47,7 @@ impl Counters for TimingStats {
 }
 
 /// The set of domains firing at one edge (result of
-/// [`ClockDomains::advance`]).
+/// [`ClockDomains::peek`] and `System::step`).
 #[derive(Debug, Clone, Copy)]
 pub struct Fired {
     /// The tick of the edge.
@@ -74,7 +73,7 @@ impl Fired {
 /// delivered. `delivered` counts edges consumed so far (fired or folded
 /// into a fire as skipped), and `pending_skip` is how many upcoming grid
 /// edges the scheduler has decided to elide before the next delivery, so
-/// the next agenda entry is always
+/// the next delivery is always at
 /// `origin + (delivered + pending_skip)·period`.
 #[derive(Debug, Clone, Copy)]
 struct Domain {
@@ -132,18 +131,14 @@ impl Domain {
 /// the scheduler reports their domain fired; `System` holds only
 /// [`DomainId`] handles, no clock state.
 ///
-/// Internally this is a next-event core: a [`TimeQ`] agenda keeps one
-/// live entry per armed domain, so finding the next edge is a heap peek
-/// rather than a linear scan, and a parked or deferred domain's edges
-/// are skipped without ever being visited. Entries left behind when a
-/// domain is rescheduled go stale in place; every `&mut` operation
-/// prunes stale entries from the top so the agenda head is always valid
-/// for `&self` reads.
+/// Internally this is a next-event core: the next edge is the earliest
+/// pending delivery over the armed domains, found by a scan (a machine
+/// has a handful of clocks), so a parked or deferred domain's edges are
+/// skipped without ever being visited.
 #[derive(Debug, Default)]
 pub struct ClockDomains {
     domains: Vec<Domain>,
     labels: Vec<&'static str>,
-    q: TimeQ,
     stats: TimingStats,
 }
 
@@ -155,19 +150,16 @@ impl ClockDomains {
 
     fn push(&mut self, label: &'static str, period: u64, origin: u64) -> DomainId {
         assert!(self.domains.len() < 64, "at most 64 clock domains");
-        let d = Domain {
+        self.domains.push(Domain {
             period,
             origin,
             delivered: 0,
             pending_skip: 0,
             armed: true,
             fires: 0,
-        };
-        self.domains.push(d);
+        });
         self.labels.push(label);
-        let slot = self.domains.len() - 1;
-        self.q.push(d.next(), slot);
-        DomainId(slot)
+        DomainId(self.domains.len() - 1)
     }
 
     /// Register a domain from a period in picoseconds; its first edge is
@@ -198,36 +190,13 @@ impl ClockDomains {
         self.labels[d.0]
     }
 
-    /// Drop agenda entries that no longer match their domain's next
-    /// edge, so the head is valid for `&self` readers. Called at the end
-    /// of every mutating operation.
-    fn prune(&mut self) {
-        let domains = &self.domains;
-        self.q
-            .prune(|tick, slot| !(domains[slot].armed && domains[slot].next() == tick));
-    }
-
     /// The tick of the earliest pending edge.
     ///
     /// # Panics
     ///
     /// Panics if no domain is armed.
     pub fn next_edge(&self) -> u64 {
-        self.q.peek().expect("at least one armed clock domain").0
-    }
-
-    /// The fired-domain mask at tick `now`: every armed domain whose
-    /// next edge lands exactly there. Shared by [`peek`](Self::peek) and
-    /// the delivery path so the preview can never disagree with what
-    /// fires.
-    fn mask_at(&self, now: u64) -> u64 {
-        let mut mask = 0u64;
-        for (i, d) in self.domains.iter().enumerate() {
-            if d.armed && d.next() == now {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        self.peek().now
     }
 
     /// Deliver domain `d`'s edge at tick `now` if one is due there.
@@ -244,11 +213,8 @@ impl ClockDomains {
         dom.delivered += skipped + 1;
         dom.pending_skip = 0;
         dom.fires += 1;
-        let next = dom.next();
         self.stats.domain_ticks += 1;
         self.stats.edges_skipped += skipped;
-        self.q.push(next, d.0);
-        self.prune();
         Some(skipped)
     }
 
@@ -276,7 +242,6 @@ impl ClockDomains {
         let dom = &mut self.domains[d.0];
         dom.armed = false;
         dom.pending_skip = 0;
-        self.prune();
     }
 
     /// Arm `d` so its next delivery is grid edge index `e` (clamped to
@@ -288,9 +253,6 @@ impl ClockDomains {
         let e = e.max(dom.delivered);
         dom.pending_skip = e - dom.delivered;
         dom.armed = true;
-        let next = dom.next();
-        self.q.push(next, d.0);
-        self.prune();
     }
 
     /// Re-arm `d` no later than the first of its grid edges at or after
@@ -300,14 +262,10 @@ impl ClockDomains {
     pub fn wake_at(&mut self, d: DomainId, t: u64) {
         let dom = &mut self.domains[d.0];
         let e = dom.edge_at_or_after(t).max(dom.delivered);
-        if dom.armed && e >= dom.delivered + dom.pending_skip {
-            return;
+        if !dom.armed || e < dom.delivered + dom.pending_skip {
+            dom.pending_skip = e - dom.delivered;
+            dom.armed = true;
         }
-        dom.pending_skip = e - dom.delivered;
-        dom.armed = true;
-        let next = dom.next();
-        self.q.push(next, d.0);
-        self.prune();
     }
 
     /// Index of `d`'s first grid edge at or after tick `t`.
@@ -343,7 +301,7 @@ impl ClockDomains {
         e
     }
 
-    /// Whether `d` is armed (has a pending delivery on the agenda).
+    /// Whether `d` is armed (has a pending delivery).
     /// Parked domains deliver nothing until re-armed by
     /// [`wake_at`](Self::wake_at) / [`defer_to_edge`](Self::defer_to_edge).
     pub fn armed(&self, d: DomainId) -> bool {
@@ -352,7 +310,7 @@ impl ClockDomains {
 
     /// The tick of `d`'s pending delivery. Meaningful only while
     /// [`armed`](Self::armed); used by shadow checkers comparing the
-    /// agenda against independently re-derived component horizons.
+    /// schedule against independently re-derived component horizons.
     pub fn next_tick(&self, d: DomainId) -> u64 {
         self.domains[d.0].next()
     }
@@ -387,40 +345,46 @@ impl ClockDomains {
         self.stats
     }
 
-    /// Jump to the earliest pending edge, advancing every domain with an
-    /// edge there, and report which domains fired.
-    pub fn advance(&mut self) -> Fired {
-        let now = self.next_edge();
-        self.count_event();
-        let mut mask = 0u64;
-        for i in 0..self.domains.len() {
-            if self.take_due(DomainId(i), now).is_some() {
-                mask |= 1 << i;
-            }
-        }
-        Fired { now, mask }
-    }
-
-    /// The edge [`advance`](Self::advance) would fire next, without
-    /// advancing any clock — lets a composer act *before* the components
-    /// on a domain tick (e.g. submit work ahead of the engine's cycle at
-    /// the same edge).
+    /// The earliest pending edge and every armed domain due there,
+    /// without advancing any clock — lets a composer act *before* the
+    /// components on a domain tick (e.g. submit work ahead of the
+    /// engine's cycle at the same edge).
     ///
     /// # Panics
     ///
     /// Panics if no domain is armed.
     pub fn peek(&self) -> Fired {
-        let now = self.next_edge();
-        Fired {
-            now,
-            mask: self.mask_at(now),
+        let mut now = u64::MAX;
+        let mut mask = 0u64;
+        for (i, d) in self.domains.iter().enumerate().filter(|(_, d)| d.armed) {
+            let t = d.next();
+            if t < now {
+                now = t;
+                mask = 0;
+            }
+            if t == now {
+                mask |= 1 << i;
+            }
         }
+        assert!(mask != 0, "at least one armed clock domain");
+        Fired { now, mask }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deliver the earliest pending edge to every domain due there, as
+    /// `System::step` does, and report which domains took it.
+    fn advance(d: &mut ClockDomains) -> Fired {
+        let now = d.peek().now;
+        d.count_event();
+        let mask = (0..d.len())
+            .filter(|&i| d.take_due(DomainId(i), now).is_some())
+            .fold(0, |m, i| m | 1 << i);
+        Fired::new(now, mask)
+    }
 
     #[test]
     fn domains_fire_at_their_own_rates() {
@@ -430,7 +394,7 @@ mod tests {
         let mut fast_edges = 0;
         let mut slow_edges = 0;
         loop {
-            let f = d.advance();
+            let f = advance(&mut d);
             if f.now > 2400 {
                 break;
             }
@@ -454,7 +418,7 @@ mod tests {
         // First coincidence after 0 is at lcm(6, 10) = 30.
         let mut coincident = None;
         for _ in 0..20 {
-            let f = d.advance();
+            let f = advance(&mut d);
             if f.contains(a) && f.contains(b) {
                 coincident = Some(f.now);
                 break;
@@ -478,11 +442,11 @@ mod tests {
         let fast = d.add_period_ticks("fast", 10);
         let slow = d.add_period_ticks("slow", 100);
         d.park(fast);
-        // With fast parked, the agenda jumps straight to slow's edges.
-        let f = d.advance();
+        // With fast parked, the scheduler jumps straight to slow's edges.
+        let f = advance(&mut d);
         assert_eq!(f.now, 100);
         assert!(f.contains(slow) && !f.contains(fast));
-        let f = d.advance();
+        let f = advance(&mut d);
         assert_eq!(f.now, 200);
         assert_eq!(d.timing_stats().events_fired, 2);
         assert_eq!(d.timing_stats().domain_ticks, 2);
@@ -535,5 +499,51 @@ mod tests {
         assert_eq!(d.edges_through(tk, 50), 1);
         assert_eq!(d.edges_through(tk, 99), 1);
         assert_eq!(d.edges_through(tk, 100), 2);
+    }
+
+    /// The scheduler at its documented limit: 64 domains, so the last
+    /// one is bit 63 of the [`Fired`] mask.
+    #[test]
+    fn sixty_four_domains_deliver_every_edge_through_a_horizon() {
+        let mut d = ClockDomains::new();
+        let ids: Vec<DomainId> = (0..64u64)
+            .map(|i| d.add_period_ticks("d", 10 + 3 * i))
+            .collect();
+        let parked = |i: usize| i % 5 == 2;
+        assert!(!parked(63));
+        for (i, &id) in ids.iter().enumerate() {
+            if parked(i) {
+                d.park(id);
+            }
+        }
+        let horizon = 5_000;
+        loop {
+            let f = d.peek();
+            if f.now > horizon {
+                break;
+            }
+            for &id in &ids {
+                let took = d.take_due(id, f.now).is_some();
+                assert_eq!(f.contains(id), took, "slot {} at {}", id.index(), f.now);
+            }
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            let want = if parked(i) {
+                0
+            } else {
+                d.edges_through(id, horizon)
+            };
+            assert_eq!(d.domain_fires(id), want, "slot {i}");
+        }
+        assert!(d.domain_fires(ids[63]) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 clock domains")]
+    fn a_sixty_fifth_domain_is_refused() {
+        let mut d = ClockDomains::new();
+        for _ in 0..65 {
+            d.add_period_ticks("d", 10);
+        }
     }
 }

@@ -32,7 +32,6 @@ pub mod result;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
 pub mod system;
-pub mod timeq;
 pub mod transfer;
 
 pub use batch::{default_threads, run_batch, BatchPoint, Experiment};

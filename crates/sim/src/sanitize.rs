@@ -10,9 +10,9 @@
 //! (a *stale horizon*).
 //!
 //! Under the `sanitize` feature, [`System::step`](crate::System::step)
-//! shadow-checks the scheduler around **every** event:
+//! runs four shadow checks on the scheduler around **every** event:
 //!
-//! 1. **monotonic events** — the agenda never moves time backwards;
+//! 1. **monotonic events** — the scheduler never moves time backwards;
 //! 2. **no domain armed in the past** — every armed domain's pending
 //!    delivery is strictly after the step that just completed;
 //! 3. **skip reconciliation** — no component's clock, and no domain's
@@ -31,10 +31,7 @@
 //!    re-deriving their horizons and passing them to
 //!    [`System::sanitize_check_external`](crate::System::sanitize_check_external)
 //!    — the serving composer does so for its host clock (the `runtime`
-//!    domain) before every step;
-//! 5. **agenda head** — the heap's next edge equals the minimum armed
-//!    `next()` over all domains (stale-entry pruning never let the
-//!    head rot).
+//!    domain) before every step.
 //!
 //! The checks are pure reads: enabling the feature changes *no*
 //! simulated state, so goldens stay bit-identical with the feature on
@@ -51,8 +48,8 @@
 /// Which invariant a violation breaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SanitizeKind {
-    /// The agenda delivered an event at or before the previous event's
-    /// tick (check 1).
+    /// The scheduler delivered an event at or before the previous
+    /// event's tick (check 1).
     NonMonotonicEvent,
     /// An armed domain's pending delivery is at or before the step that
     /// just completed (check 2).
@@ -67,9 +64,6 @@ pub enum SanitizeKind {
     /// re-derived horizon: the wake would arrive after the work was due
     /// (check 4).
     StaleHorizon,
-    /// The agenda head disagrees with the minimum armed `next()` over
-    /// all domains (check 5).
-    AgendaMismatch,
 }
 
 /// One breached invariant, stamped with where and when.
@@ -77,7 +71,7 @@ pub enum SanitizeKind {
 pub struct SanitizeViolation {
     /// Which invariant.
     pub kind: SanitizeKind,
-    /// Label of the clock domain involved (`"-"` for whole-agenda
+    /// Label of the clock domain involved (`"-"` for whole-schedule
     /// checks).
     pub domain: &'static str,
     /// Tick of the step at which the check ran.

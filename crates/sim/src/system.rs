@@ -352,19 +352,11 @@ impl System {
     /// Aim an external domain's next delivery at its grid edge `edge`
     /// (clamped to its first undelivered edge), or park it with `None`.
     /// Composers own their registered domains' horizons; the machine's
-    /// internal domains are managed by [`step`](Self::step) itself. A
-    /// domain already aimed there is left alone, so an unchanged horizon
-    /// costs no agenda push.
+    /// internal domains are managed by [`step`](Self::step) itself.
     pub fn set_domain_horizon(&mut self, d: DomainId, edge: Option<u64>) {
         match edge {
-            None if self.clocks.armed(d) => self.clocks.park(d),
-            None => {}
-            Some(e) => {
-                let e = e.max(self.clocks.delivered(d));
-                if !self.clocks.armed(d) || self.clocks.pending_edge(d) != e {
-                    self.clocks.defer_to_edge(d, e);
-                }
-            }
+            None => self.clocks.park(d),
+            Some(e) => self.clocks.defer_to_edge(d, e),
         }
     }
 
@@ -999,8 +991,8 @@ impl System {
     }
 
     /// Run the shadow checks for the step that just completed at tick
-    /// `now` (checks 1, 2, 3 and 5 of [`crate::sanitize`]; check 4 runs
-    /// as the next step begins).
+    /// `now` (checks 1, 2 and 3 of [`crate::sanitize`]; check 4 runs as
+    /// the next step begins).
     fn sanitize_check(&mut self, now: u64) {
         use crate::sanitize::{SanitizeKind, SanitizeViolation};
         self.sanitizer.observe_event(now);
@@ -1070,26 +1062,6 @@ impl System {
                     self.clocks.edges_through(dom, now),
                     "component clock",
                 );
-            }
-        }
-
-        // Check 5: the agenda head must equal the minimum armed next().
-        let derived = (0..self.clocks.len())
-            .map(DomainId::from_index)
-            .filter(|&d| self.clocks.armed(d))
-            .map(|d| self.clocks.next_tick(d))
-            .min();
-        if let Some(min) = derived {
-            let head = self.clocks.next_edge();
-            if head != min {
-                findings.push(SanitizeViolation {
-                    kind: SanitizeKind::AgendaMismatch,
-                    domain: "-",
-                    t: now,
-                    detail: format!(
-                        "agenda head at tick {head}, minimum armed next() at tick {min}"
-                    ),
-                });
             }
         }
 
