@@ -1,24 +1,9 @@
-//! UPMEM-like bank-level PIM device model.
+//! Placeholder for the retired functional UPMEM device model.
 //!
-//! This crate provides the *functional* side of the PIM substrate: the
-//! DIMM/chip/DPU topology (§II-C: eight chips per rank, eight DPUs per
-//! chip, one DPU per memory bank), byte-granularity chip interleaving and
-//! the 8×8 byte transpose the runtime must apply to host data (Fig. 3),
-//! per-DPU MRAM storage, and a `dpu_prepare_xfer`/`dpu_push_xfer`-style
-//! host runtime.
-//!
-//! Timing of DRAM↔PIM transfers is *not* modeled here: the cycle-level
-//! path lives in `pim-dram`/`pim-cpu`/`pim-mmu`; this crate guarantees the
-//! bytes end up in the right MRAM.
-
-pub mod device;
-pub mod mram;
-pub mod runtime;
-pub mod topology;
-pub mod transpose;
-
-pub use device::PimDevice;
-pub use mram::Mram;
-pub use runtime::{DpuSet, XferDirection};
-pub use topology::PimTopology;
-pub use transpose::{chip_shard, transpose_8x8, BLOCK_BYTES, WORDS_PER_BLOCK, WORD_BYTES};
+//! The crate once held MRAM images, the Fig. 3 8×8 byte transpose and a
+//! `dpu_push_xfer`-style host runtime. No figure, BENCH file or benchmark
+//! read them: every reproduced number comes from the cycle-level transfer
+//! path in `pim-mmu`, `pim-dram` and `pim-sim`. The crate stays, empty,
+//! only because `perfbench/Cargo.lock` records it as a dependency of
+//! `pim-workloads`; the next change that may rewrite that lockfile deletes
+//! it together with its `[workspace.dependencies]` entry.

@@ -15,9 +15,6 @@
 //!   the physical address space and locality-centric for the PIM partition
 //!   (paper §IV-E).
 //!
-//! The BIOS interleaving knobs of Fig. 1 (1-way vs N-way interleaving per
-//! DRAM subsystem level) are modeled by [`BiosConfig`].
-//!
 //! # Example
 //!
 //! ```
@@ -40,7 +37,6 @@
 //! ```
 
 pub mod addr;
-pub mod bios;
 pub mod hetmap;
 pub mod layout;
 pub mod locality;
@@ -50,7 +46,6 @@ pub mod org;
 pub mod pim_space;
 
 pub use addr::{DramAddr, MemSpace, PhysAddr, LINE_BYTES, LINE_SHIFT};
-pub use bios::{BiosConfig, Interleave};
 pub use hetmap::{HetMap, SpacedAddr};
 pub use layout::{Field, FieldLayout};
 pub use locality::LocalityCentric;

@@ -39,8 +39,9 @@
 //! it registers the host clock (period
 //! [`HostQueueConfig::poll_period_ps`]) as a clock domain of the
 //! machine's scheduler and, at each of its edges, calls
-//! [`Runtime::admit_arrivals`], [`Runtime::poll_shard`] for every shard
-//! and [`Runtime::dispatch`] with the edge's time.
+//! [`Runtime::host_edge`] with the edge's time: arrivals are admitted,
+//! every shard's completion ring is polled, and the shard-aware
+//! dispatch runs over the whole engine array.
 //!
 //! ```
 //! use pim_runtime::{ArrivalProcess, Fcfs, JobSizer, Runtime, RuntimeConfig,

@@ -7,22 +7,22 @@
 //!
 //! The runtime keeps no clock of its own: the composer (see
 //! [`crate::serving`]) runs it on the host clock, whose period is
-//! [`HostQueueConfig::poll_period_ps`], and hands it each edge's time.
-//! At an edge, always *before* the engines' own tick, it calls
-//! [`admit_arrivals`](Runtime::admit_arrivals) to drain due arrivals
-//! into the tenant queues, then the two host-interface paths:
+//! [`HostQueueConfig::poll_period_ps`], and hands each edge's time to
+//! [`Runtime::host_edge`], always *before* the engines' own tick. The
+//! edge drains due arrivals into the tenant queues, then runs the two
+//! host-interface paths:
 //!
-//! * [`poll_shard`](Runtime::poll_shard) — the completion-ring poller,
-//!   once per shard: drain that engine's retirement records into its
-//!   queue pair and, once the interrupt coalescer fires, field one
-//!   interrupt for the whole completed batch;
-//! * [`dispatch`](Runtime::dispatch) — the shard-aware submission
-//!   path over the whole engine array: while rings have free slots and
-//!   their drivers are not busy, let the policy pick chunks, place
-//!   each on a shard ([`Placement`]: hash-pin or least-loaded
-//!   work-stealing), and publish every shard's batch with one doorbell
-//!   write each ([`Dce::enqueue`] keeps each engine fed device-side
-//!   with no host round trip between chunks).
+//! * the completion-ring poller, once per shard: drain that engine's
+//!   retirement records into its queue pair and, once the interrupt
+//!   coalescer fires, field one interrupt for the whole completed
+//!   batch;
+//! * the shard-aware submission path over the whole engine array:
+//!   while rings have free slots and their drivers are not busy, let
+//!   the policy pick chunks, place each on a shard ([`Placement`]:
+//!   hash-pin or least-loaded work-stealing), and publish every
+//!   shard's batch with one doorbell write each ([`Dce::enqueue`]
+//!   keeps each engine fed device-side with no host round trip
+//!   between chunks).
 //!
 //! With the identity host-queue configuration (depth 1, coalescing
 //! off — the default) this is exactly the paper's synchronous
@@ -516,8 +516,8 @@ impl Runtime {
         self.qps.iter().all(QueuePair::is_idle)
     }
 
-    /// The earliest host-clock time at which
-    /// [`dispatch`](Self::dispatch) can stage a chunk absent new
+    /// The earliest host-clock time at which a
+    /// [`host_edge`](Self::host_edge) can stage a chunk absent new
     /// arrivals and ring completions: the earliest `driver_ready_ns`
     /// over the shards that have a free ring slot and dispatchable work
     /// they may serve — under [`Placement::HashPin`] work of a tenant
@@ -631,9 +631,30 @@ impl Runtime {
             .collect()
     }
 
+    /// One host-clock edge at `now_ns`, over the whole engine array
+    /// (engine `s` is shard `s`): admit the arrivals due by then, poll
+    /// every shard's completion ring, then run the shard-aware
+    /// dispatch. Poll-before-dispatch at one edge is the synchronous
+    /// handshake's completion-then-submit ordering. The poll reads no
+    /// engine clock, but the dispatch stamps descriptors with each
+    /// engine's cycle count: a composer whose engines sleep catches
+    /// their clocks up to the edge first.
+    pub fn host_edge(&mut self, dces: &mut [Dce], now_ns: f64) {
+        assert_eq!(
+            dces.len(),
+            self.cfg.shards,
+            "a host edge needs one engine per shard"
+        );
+        self.admit_arrivals(now_ns);
+        for (s, dce) in dces.iter_mut().enumerate() {
+            self.poll_shard(s, dce, now_ns);
+        }
+        self.dispatch(dces, now_ns);
+    }
+
     /// Drain the arrivals due by `now_ns` (a host-clock edge) into the
     /// tenant queues.
-    pub fn admit_arrivals(&mut self, now_ns: f64) {
+    fn admit_arrivals(&mut self, now_ns: f64) {
         for ti in 0..self.tenants.len() {
             self.arrivals_scratch.clear();
             let t = &mut self.tenants[ti];
@@ -713,8 +734,8 @@ impl Runtime {
     }
 
     /// The completion-ring poller for one shard, called at each
-    /// host-clock edge that fires (after the arrivals, before the
-    /// dispatch and the engines' own ticks):
+    /// host edge (after the arrivals, before the dispatch and the
+    /// engines' own ticks):
     /// drain shard `shard`'s engine retirement records into that
     /// shard's queue pair, and once its interrupt coalescer fires,
     /// field *one* interrupt for the whole completed batch — routing
@@ -734,7 +755,7 @@ impl Runtime {
     /// time, the delivery time (`now + interrupt_ns`) wins — a tenant
     /// cannot learn of a completion before the interrupt that announces
     /// it.
-    pub fn poll_shard(&mut self, shard: usize, dce: &mut Dce, now_ns: f64) {
+    fn poll_shard(&mut self, shard: usize, dce: &mut Dce, now_ns: f64) {
         // Device-side span events (device-start / suspend / retire)
         // surface with the same cadence as the ring poll.
         if self.recorder.enabled() {
@@ -907,9 +928,9 @@ impl Runtime {
         }
     }
 
-    /// The shard-aware submission path, called at each host-clock edge
-    /// that fires, with the whole engine array (after the shard polls,
-    /// before the engines' own ticks): while rings have
+    /// The shard-aware submission path, called at each host edge with
+    /// the whole engine array (after the shard polls, before the
+    /// engines' own ticks): while rings have
     /// free slots and their drivers are not busy, let the policy pick
     /// chunks, place each on a shard according to
     /// [`Placement`] — hash-pin dispatches each shard against its
@@ -921,12 +942,7 @@ impl Runtime {
     /// (`driver_ready_ns[s] = now + submit_ns`) but is *not* an
     /// engine stall: the engine starts the first descriptor at this
     /// edge and chains through the rest device-side.
-    pub fn dispatch(&mut self, dces: &mut [Dce], now_ns: f64) {
-        assert_eq!(
-            dces.len(),
-            self.cfg.shards,
-            "dispatch needs one engine per shard"
-        );
+    fn dispatch(&mut self, dces: &mut [Dce], now_ns: f64) {
         // Edges with empty queues are the common case; don't build
         // policy views (allocating) when there is nothing to dispatch.
         if self.tenants.iter().all(|t| t.queue.is_empty()) {

@@ -241,12 +241,10 @@ impl ServingSystem {
         self.sys.now_ns()
     }
 
-    /// Advance one event: at a host edge, admit arrivals, poll every
-    /// shard's completion ring (drain its retirements, field its
-    /// interrupts), then run the shard-aware dispatch over the whole
-    /// engine array; then step the machine. Poll-before-dispatch at one
-    /// edge is the synchronous handshake's completion-then-submit
-    /// ordering.
+    /// Advance one event: at a host edge, catch the engine clocks up
+    /// and run [`Runtime::host_edge`] (admit arrivals, poll every
+    /// shard's completion ring, dispatch over the whole engine array);
+    /// then step the machine.
     pub fn step(&mut self) {
         #[cfg(feature = "sanitize")]
         {
@@ -295,16 +293,12 @@ impl ServingSystem {
         let host_fired = pending.contains(self.host);
         if host_fired {
             let t0 = timer();
-            self.runtime.admit_arrivals(now_ns);
-            for (s, dce) in self.sys.engines_mut().iter_mut().enumerate() {
-                self.runtime.poll_shard(s, dce, now_ns);
-            }
-            // Dispatch stamps descriptors with engine cycle counts: make
-            // sure slept engines read as of this tick, then ring the
+            // The dispatch stamps descriptors with engine cycle counts:
+            // catch slept engines up to this tick first, then ring the
             // doorbell wake so a newly staged chunk's engine fires
             // within this very step.
             self.sys.sync_engines_to(pending.now);
-            self.runtime.dispatch(self.sys.engines_mut(), now_ns);
+            self.runtime.host_edge(self.sys.engines_mut(), now_ns);
             self.sys.wake_engines(pending.now);
             self.sys.credit_domain_wall_ns(self.host, elapsed(t0));
         }

@@ -5,12 +5,11 @@
 //! tick loop driving a [`Runtime`] against a fixed-latency "perfect"
 //! memory (every request completes `latency` engine cycles after
 //! issue). They are factored here so the conformance suite, the policy
-//! regressions and the shard-layer tests all drive the *same* loop —
-//! the composition order exactly mirrors `ServingSystem::step`: admit
-//! arrivals, poll every shard's completion ring, run the shard-aware
-//! dispatch over the whole engine array, then tick the engines. The
-//! host acts at every engine cycle, so its edge `k` is at engine cycle
-//! `k`'s time.
+//! regressions and the shard-layer tests all drive the *same* loop: at
+//! each cycle, [`Runtime::host_edge`] (the host step
+//! `ServingSystem::step` runs too), then tick the engines. The host
+//! acts at every engine cycle, so its edge `k` is at engine cycle `k`'s
+//! time, and the engines never sleep.
 //!
 //! The perfect memory keeps hundreds of randomized cases fast; the
 //! full simulated machine is exercised by the serving integration
@@ -101,12 +100,7 @@ fn drive_sharded(
         (0..shards).map(|_| VecDeque::new()).collect();
     let period = period_ticks(dces[0].config().period_ps());
     for cycle in 0..max_cycles {
-        let now_ns = ticks_to_ns(cycle * period);
-        rt.admit_arrivals(now_ns);
-        for (s, dce) in dces.iter_mut().enumerate() {
-            rt.poll_shard(s, dce, now_ns);
-        }
-        rt.dispatch(&mut dces, now_ns);
+        rt.host_edge(&mut dces, ticks_to_ns(cycle * period));
         for (s, dce) in dces.iter_mut().enumerate() {
             dce.tick();
             while let Some(r) = dce.outbox_mut().pop_front() {

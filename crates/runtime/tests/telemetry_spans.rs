@@ -26,12 +26,18 @@
 //! The same scenario with tracing **off** must replay bit-identically
 //! and record nothing — the observability layer is not allowed to
 //! perturb the simulation.
+//!
+//! The two matrix sweeps drive each cell twice, through the testkit's
+//! cycle loop and through a [`ServingSystem`] on the event-driven
+//! machine, and hold both runs to one invariant helper.
 
 use pim_runtime::testkit::{quick_driver, run_to_drain_sharded, trace_tenant};
 use pim_runtime::{
     policy_by_name, Attribution, HostQueueConfig, Placement, Preemption, Rng, Runtime,
-    RuntimeConfig, SpanKind, Stage, TelemetryConfig, TenantSpec, NO_JOB, POLICY_NAMES,
+    RuntimeConfig, ServingSystem, SpanKind, Stage, TelemetryConfig, TenantSpec, NO_JOB,
+    POLICY_NAMES,
 };
+use pim_sim::{DesignPoint, SystemConfig};
 
 const QUANTUM_CYCLES: u64 = 96;
 const TOTAL_JOBS: u64 = 4 + 4 + 3;
@@ -105,6 +111,129 @@ fn count(rt: &Runtime, kind: SpanKind) -> u64 {
     rt.recorder().iter().filter(|e| e.kind == kind).count() as u64
 }
 
+/// Drain `rt` on the event-driven Table-I machine (real controllers;
+/// exact engine, controller and host-clock horizons; shadow-checked
+/// under `--features sanitize`) and flush the engines' span taps, so no
+/// device-side event recorded after the final ring poll is stranded.
+fn serve_to_drain(rt: Runtime, label: &str) -> ServingSystem {
+    let mut serving = ServingSystem::new(SystemConfig::table1(DesignPoint::BaseDHP), rt);
+    assert!(serving.run_until_drained(1e7), "{label}: must drain");
+    serving.flush_spans();
+    serving
+}
+
+/// The span story of a drained, traced run agrees with the runtime's
+/// own accounting, whichever loop drove it.
+fn assert_spans_conserved(rt: &Runtime, label: &str, preemption: Preemption) {
+    let records = rt.records();
+    assert_eq!(rt.recorder().dropped(), 0, "{label}: recorder overflowed");
+    assert_eq!(
+        count(rt, SpanKind::Arrival),
+        TOTAL_JOBS,
+        "{label}: arrivals"
+    );
+    assert_eq!(
+        count(rt, SpanKind::Enqueue),
+        TOTAL_JOBS,
+        "{label}: enqueues"
+    );
+    assert_eq!(
+        count(rt, SpanKind::Complete),
+        records.len() as u64,
+        "{label}: completes"
+    );
+
+    let picks = count(rt, SpanKind::DispatchPick);
+    assert_eq!(
+        picks,
+        rt.chunks_dispatched(),
+        "{label}: picks vs dispatches"
+    );
+    assert_eq!(
+        count(rt, SpanKind::DeviceStart),
+        picks,
+        "{label}: every pick installs exactly once"
+    );
+    assert_eq!(
+        count(rt, SpanKind::DeviceStart),
+        count(rt, SpanKind::Retire) + count(rt, SpanKind::Suspend),
+        "{label}: every engine occupancy closes"
+    );
+
+    let suspends = count(rt, SpanKind::Suspend);
+    assert_eq!(
+        suspends,
+        rt.preemptions(),
+        "{label}: suspends vs preemptions"
+    );
+    assert_eq!(count(rt, SpanKind::Recall), suspends, "{label}: recalls");
+    assert_eq!(count(rt, SpanKind::Resume), suspends, "{label}: resumes");
+    assert_eq!(rt.resumes(), suspends, "{label}: runtime resume counter");
+    assert!(
+        suspends <= count(rt, SpanKind::SuspendRequest),
+        "{label}: no suspension without a host request"
+    );
+    if preemption == Preemption::Off {
+        assert_eq!(suspends, 0, "{label}: off mode must never suspend");
+    }
+
+    let host = rt.host_stats();
+    assert_eq!(
+        count(rt, SpanKind::Doorbell),
+        host.doorbells,
+        "{label}: doorbells"
+    );
+    assert_eq!(
+        count(rt, SpanKind::Interrupt),
+        host.interrupts,
+        "{label}: interrupts"
+    );
+
+    // Byte conservation, per job: arrival bytes == complete
+    // bytes, and the device-side story (retired + suspended
+    // bytes of chunks joined through their picks) sums to it.
+    for rec in records {
+        let arr: Vec<_> = rt
+            .recorder()
+            .iter()
+            .filter(|e| e.kind == SpanKind::Arrival && e.job == rec.id)
+            .collect();
+        assert_eq!(arr.len(), 1, "{label}: job {} arrival", rec.id);
+        assert_eq!(arr[0].bytes, rec.bytes, "{label}: job {} bytes", rec.id);
+        let done: u64 = rt
+            .recorder()
+            .iter()
+            .filter(|e| e.kind == SpanKind::Complete && e.job == rec.id)
+            .map(|e| e.bytes)
+            .sum();
+        assert_eq!(done, rec.bytes, "{label}: job {} completed bytes", rec.id);
+    }
+
+    // Device-side bytes (every retire + every suspension's
+    // partial) must cover exactly the submitted volume.
+    let device_bytes: u64 = rt
+        .recorder()
+        .iter()
+        .filter(|e| matches!(e.kind, SpanKind::Retire | SpanKind::Suspend))
+        .map(|e| e.bytes)
+        .sum();
+    let submitted: u64 = records.iter().map(|r| r.bytes).sum();
+    assert_eq!(device_bytes, submitted, "{label}: device-side byte ledger");
+
+    // Every event the hot path stamped has a plausible tag:
+    // job-tagged events reference submitted ids.
+    for e in rt.recorder().iter() {
+        if e.job != NO_JOB {
+            assert!(
+                records.iter().any(|r| r.id == e.job),
+                "{label}: {:?} references unknown job {}",
+                e.kind,
+                e.job
+            );
+        }
+    }
+}
+
 #[test]
 fn span_events_are_conserved_across_policies_and_preemption_modes() {
     let cells = POLICY_NAMES.iter().flat_map(|&policy| {
@@ -119,125 +248,74 @@ fn span_events_are_conserved_across_policies_and_preemption_modes() {
             hints.0,
             hints.1
         );
-        let mut rt = build_hinted(policy, preemption, TelemetryConfig::on(), 2, hints);
-        let records = run_to_drain_sharded(&mut rt, 4, 3_000_000)
+        let traced = || build_hinted(policy, preemption, TelemetryConfig::on(), 2, hints);
+        let mut rt = traced();
+        run_to_drain_sharded(&mut rt, 4, 3_000_000)
             .unwrap_or_else(|| panic!("{label}: must drain"));
+        assert_spans_conserved(&rt, &label, preemption);
 
-        assert_eq!(rt.recorder().dropped(), 0, "{label}: recorder overflowed");
-        assert_eq!(
-            count(&rt, SpanKind::Arrival),
-            TOTAL_JOBS,
-            "{label}: arrivals"
-        );
-        assert_eq!(
-            count(&rt, SpanKind::Enqueue),
-            TOTAL_JOBS,
-            "{label}: enqueues"
-        );
-        assert_eq!(
-            count(&rt, SpanKind::Complete),
-            records.len() as u64,
-            "{label}: completes"
-        );
+        let label = format!("{label}/event-driven");
+        let serving = serve_to_drain(traced(), &label);
+        assert_spans_conserved(serving.runtime(), &label, preemption);
+    }
+}
 
-        let picks = count(&rt, SpanKind::DispatchPick);
-        assert_eq!(
-            picks,
-            rt.chunks_dispatched(),
-            "{label}: picks vs dispatches"
-        );
-        assert_eq!(
-            count(&rt, SpanKind::DeviceStart),
-            picks,
-            "{label}: every pick installs exactly once"
-        );
-        assert_eq!(
-            count(&rt, SpanKind::DeviceStart),
-            count(&rt, SpanKind::Retire) + count(&rt, SpanKind::Suspend),
-            "{label}: every engine occupancy closes"
-        );
+/// For each completed job of a drained, traced run, the seven stage
+/// durations partition `[arrival, complete]` exactly — conservation to
+/// the nanosecond — and the waterfall's chunk/preemption tallies agree
+/// with the runtime's own counters, whichever loop drove it.
+fn assert_attribution_conserved(rt: &Runtime, label: &str, preemption: Preemption) {
+    let records = rt.records();
+    assert_eq!(rt.recorder().dropped(), 0, "{label}: ring overflowed");
 
-        let suspends = count(&rt, SpanKind::Suspend);
-        assert_eq!(
-            suspends,
-            rt.preemptions(),
-            "{label}: suspends vs preemptions"
-        );
-        assert_eq!(count(&rt, SpanKind::Recall), suspends, "{label}: recalls");
-        assert_eq!(count(&rt, SpanKind::Resume), suspends, "{label}: resumes");
-        assert_eq!(rt.resumes(), suspends, "{label}: runtime resume counter");
+    let a = Attribution::from_recorder(rt.recorder());
+    assert!(!a.degraded, "{label}: clean ring must not degrade");
+    assert_eq!(a.incomplete, 0, "{label}: drained run leaves no orphans");
+    assert_eq!(
+        a.complete_jobs(),
+        records.len(),
+        "{label}: every record attributed"
+    );
+    for w in &a.jobs {
+        assert!(w.complete, "{label}: job {} not joined", w.job);
+        let sum: f64 = w.stages.iter().sum();
         assert!(
-            suspends <= count(&rt, SpanKind::SuspendRequest),
-            "{label}: no suspension without a host request"
+            (sum - w.e2e_ns()).abs() < 1e-6,
+            "{label}: job {} stages sum {sum} != e2e {}",
+            w.job,
+            w.e2e_ns()
         );
-        if preemption == Preemption::Off {
-            assert_eq!(suspends, 0, "{label}: off mode must never suspend");
+        for (stage, &ns) in Stage::ALL.iter().zip(&w.stages) {
+            assert!(
+                ns >= -1e-9,
+                "{label}: job {} negative {} of {ns}",
+                w.job,
+                stage.name()
+            );
         }
-
-        let host = rt.host_stats();
-        assert_eq!(
-            count(&rt, SpanKind::Doorbell),
-            host.doorbells,
-            "{label}: doorbells"
-        );
-        assert_eq!(
-            count(&rt, SpanKind::Interrupt),
-            host.interrupts,
-            "{label}: interrupts"
-        );
-
-        // Byte conservation, per job: arrival bytes == complete
-        // bytes, and the device-side story (retired + suspended
-        // bytes of chunks joined through their picks) sums to it.
-        for rec in &records {
-            let arr: Vec<_> = rt
-                .recorder()
-                .iter()
-                .filter(|e| e.kind == SpanKind::Arrival && e.job == rec.id)
-                .collect();
-            assert_eq!(arr.len(), 1, "{label}: job {} arrival", rec.id);
-            assert_eq!(arr[0].bytes, rec.bytes, "{label}: job {} bytes", rec.id);
-            let done: u64 = rt
-                .recorder()
-                .iter()
-                .filter(|e| e.kind == SpanKind::Complete && e.job == rec.id)
-                .map(|e| e.bytes)
-                .sum();
-            assert_eq!(done, rec.bytes, "{label}: job {} completed bytes", rec.id);
-        }
-
-        // Device-side bytes (every retire + every suspension's
-        // partial) must cover exactly the submitted volume.
-        let device_bytes: u64 = rt
-            .recorder()
+        let rec = records
             .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Retire | SpanKind::Suspend))
-            .map(|e| e.bytes)
-            .sum();
-        let submitted: u64 = records.iter().map(|r| r.bytes).sum();
-        assert_eq!(device_bytes, submitted, "{label}: device-side byte ledger");
-
-        // Every event the hot path stamped has a plausible tag:
-        // job-tagged events reference submitted ids.
-        for e in rt.recorder().iter() {
-            if e.job != NO_JOB {
-                assert!(
-                    records.iter().any(|r| r.id == e.job),
-                    "{label}: {:?} references unknown job {}",
-                    e.kind,
-                    e.job
-                );
-            }
-        }
+            .find(|r| r.id == w.job)
+            .unwrap_or_else(|| panic!("{label}: unknown job {}", w.job));
+        assert_eq!(w.bytes, rec.bytes, "{label}: job {} bytes", w.job);
+    }
+    // The waterfalls' tallies must agree with the runtime's own
+    // counters, in aggregate.
+    let chunks: u64 = a.jobs.iter().map(|w| u64::from(w.chunks)).sum();
+    assert_eq!(chunks, rt.chunks_dispatched(), "{label}: chunk tally");
+    let preempts: u64 = a.jobs.iter().map(|w| u64::from(w.preemptions)).sum();
+    assert_eq!(preempts, rt.preemptions(), "{label}: preemption tally");
+    if preemption == Preemption::Off {
+        assert_eq!(
+            a.totals()[Stage::Suspended as usize],
+            0.0,
+            "{label}: no suspended time without preemption"
+        );
     }
 }
 
 /// The attribution layer's core promise, checked against **every**
-/// scheduling policy × preemption mode × shard count: for each
-/// completed job, the seven stage durations partition
-/// `[arrival, complete]` exactly — conservation to the nanosecond —
-/// and the waterfall's chunk/preemption tallies agree with the
-/// runtime's own counters.
+/// scheduling policy × preemption mode × shard count × dispatch hint.
 #[test]
 fn attribution_conserves_latency_across_policies_and_shards() {
     for policy in POLICY_NAMES {
@@ -252,55 +330,16 @@ fn attribution_conserves_latency_across_policies_and_shards() {
                     hints.0,
                     hints.1
                 );
-                let mut rt = build_hinted(policy, preemption, TelemetryConfig::on(), shards, hints);
-                let records = run_to_drain_sharded(&mut rt, 4, 3_000_000)
+                let traced =
+                    || build_hinted(policy, preemption, TelemetryConfig::on(), shards, hints);
+                let mut rt = traced();
+                run_to_drain_sharded(&mut rt, 4, 3_000_000)
                     .unwrap_or_else(|| panic!("{label}: must drain"));
-                assert_eq!(rt.recorder().dropped(), 0, "{label}: ring overflowed");
+                assert_attribution_conserved(&rt, &label, preemption);
 
-                let a = Attribution::from_recorder(rt.recorder());
-                assert!(!a.degraded, "{label}: clean ring must not degrade");
-                assert_eq!(a.incomplete, 0, "{label}: drained run leaves no orphans");
-                assert_eq!(
-                    a.complete_jobs(),
-                    records.len(),
-                    "{label}: every record attributed"
-                );
-                for w in &a.jobs {
-                    assert!(w.complete, "{label}: job {} not joined", w.job);
-                    let sum: f64 = w.stages.iter().sum();
-                    assert!(
-                        (sum - w.e2e_ns()).abs() < 1e-6,
-                        "{label}: job {} stages sum {sum} != e2e {}",
-                        w.job,
-                        w.e2e_ns()
-                    );
-                    for (stage, &ns) in Stage::ALL.iter().zip(&w.stages) {
-                        assert!(
-                            ns >= -1e-9,
-                            "{label}: job {} negative {} of {ns}",
-                            w.job,
-                            stage.name()
-                        );
-                    }
-                    let rec = records
-                        .iter()
-                        .find(|r| r.id == w.job)
-                        .unwrap_or_else(|| panic!("{label}: unknown job {}", w.job));
-                    assert_eq!(w.bytes, rec.bytes, "{label}: job {} bytes", w.job);
-                }
-                // The waterfalls' tallies must agree with the runtime's
-                // own counters, in aggregate.
-                let chunks: u64 = a.jobs.iter().map(|w| u64::from(w.chunks)).sum();
-                assert_eq!(chunks, rt.chunks_dispatched(), "{label}: chunk tally");
-                let preempts: u64 = a.jobs.iter().map(|w| u64::from(w.preemptions)).sum();
-                assert_eq!(preempts, rt.preemptions(), "{label}: preemption tally");
-                if preemption == Preemption::Off {
-                    assert_eq!(
-                        a.totals()[Stage::Suspended as usize],
-                        0.0,
-                        "{label}: no suspended time without preemption"
-                    );
-                }
+                let label = format!("{label}/event-driven");
+                let serving = serve_to_drain(traced(), &label);
+                assert_attribution_conserved(serving.runtime(), &label, preemption);
             }
         }
     }

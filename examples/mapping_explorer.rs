@@ -6,7 +6,7 @@
 //! cargo run --release --example mapping_explorer
 //! ```
 
-use pim_mapping::{BiosConfig, HetMap, LocalityCentric, MapFn, MlpCentric, Organization, PhysAddr};
+use pim_mapping::{HetMap, LocalityCentric, MapFn, MlpCentric, Organization, PhysAddr};
 
 fn main() {
     let dram = Organization::ddr4_dimm(4, 2);
@@ -59,16 +59,5 @@ fn main() {
             s.space.to_string(),
             s.addr
         );
-    }
-
-    println!("\nBIOS interleaving knobs (Fig. 1): channel of the first 8 lines");
-    for (name, cfg) in [
-        ("1-way IMC + 1-way ch (low MLP)", BiosConfig::low_mlp(2)),
-        ("1-way IMC + N-way ch (medium)", BiosConfig::medium_mlp(2)),
-        ("N-way IMC + N-way ch (high)", BiosConfig::high_mlp(2)),
-    ] {
-        let layout = cfg.layout(&dram);
-        let chans: Vec<u32> = (0..8).map(|l| layout.map_line(l).channel).collect();
-        println!("  {name:<32} {chans:?}");
     }
 }

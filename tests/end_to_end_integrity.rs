@@ -1,50 +1,24 @@
-//! Cross-crate functional integrity: data survives the full
-//! DRAM → transpose → PIM → transpose → DRAM round trip, and the
-//! mapping/device crates agree on PIM core numbering.
+//! Cross-crate address integrity: PIM core numbering follows the UPMEM
+//! channel-major rule, and HetMap routes every core's heap to that
+//! core's own bank.
 
-use pim_device::{DpuSet, PimDevice, PimTopology, XferDirection};
 use pim_mapping::{HetMap, MemSpace, Organization, PhysAddr, PimAddrSpace};
 
 #[test]
-fn runtime_roundtrip_preserves_every_byte_across_all_dpus() {
-    let mut device = PimDevice::new(PimTopology {
-        channels: 2,
-        ranks: 1,
-        chips_per_rank: 8,
-        dpus_per_chip: 8,
-        mram_bytes: 1 << 20,
-    });
-    let n = device.num_dpus();
-    let mut set = DpuSet::all(&mut device);
-    let payload: Vec<Vec<u8>> = (0..n)
-        .map(|d| (0..512).map(|i| ((d * 31 + i) % 251) as u8).collect())
-        .collect();
-    for (d, p) in payload.iter().enumerate() {
-        set.prepare_xfer(d as u32, p.clone());
-    }
-    set.push_xfer(XferDirection::ToDpu, 128).expect("push");
-    for d in 0..n {
-        set.prepare_xfer(d, vec![0u8; 512]);
-    }
-    let pulled = set.push_xfer(XferDirection::FromDpu, 128).expect("pull");
-    assert_eq!(pulled.len(), n as usize);
-    for (d, data) in pulled {
-        assert_eq!(data, payload[d as usize], "DPU {d} corrupted");
-    }
-}
-
-#[test]
 fn mapping_and_device_topologies_agree_on_core_numbering() {
+    // Table I: 4 channels × 2 ranks of UPMEM DIMMs; each rank's 64 DPUs
+    // are its 4 bank groups × 16 banks, in eight ×8 chips of eight DPUs.
     let org = Organization::upmem_dimm(4, 2);
+    assert_eq!((org.bank_groups, org.banks), (4, 16));
     let space = PimAddrSpace::new(PhysAddr(32 << 30), org);
-    let topo = PimTopology::from_organization(&org);
-    assert_eq!(space.num_cores(), topo.total_dpus());
+    assert_eq!(space.num_cores(), 512);
     for core in [0u32, 1, 63, 64, 255, 511] {
+        // Channel-major: core c sits on channel c / 128, rank c / 64 % 2,
+        // and bank c % 64 of its rank (chip (c % 64) / 8, DPU c % 8).
         let (ch, ra, bg, bk) = space.core_coords(core);
-        let (tch, tra, chip, within) = topo.dpu_coords(core);
-        assert_eq!((ch, ra), (tch, tra), "core {core}");
-        // Chips slice the per-rank bank space in 8-DPU groups.
-        assert_eq!(chip * 8 + within, bg * org.banks + bk, "core {core}");
+        assert_eq!(ch, core / 128, "core {core}: channel");
+        assert_eq!(ra, core / 64 % 2, "core {core}: rank");
+        assert_eq!(bg * 16 + bk, core % 64, "core {core}: bank of its rank");
     }
 }
 
