@@ -1,24 +1,31 @@
 //! Event-driven timing-core benchmark: wall-clock cost of the
 //! cycle-stepped reference vs the next-event scheduler on a light-load
-//! serving scenario (where idle-skip pays), plus a large-N traffic run
-//! (a million jobs by default) that is only practical under
-//! event-driven timing.
+//! serving scenario (where idle-skip pays) and on the baseline's one-shot
+//! software copy (where the CPU cores sleep while they wait on memory),
+//! plus a large-N traffic run (a million jobs by default) that is only
+//! practical under event-driven timing.
 //!
 //! ```text
 //! cargo run --release -p pim-bench --bin timing_sweep -- \
 //!     [--smoke|--full] [--seed S] [--out PATH]
 //! ```
 //!
-//! The light-load cell runs the *same* scenario under both
-//! [`TimingMode`]s and cross-checks every job record to the `f64` bit
-//! before reporting the speedup — the number is only meaningful if the
-//! two runs are observably identical (the broader conformance suite is
-//! `tests/timing_differential.rs`).
+//! The light-load and baseline cells run the *same* scenario under both
+//! [`TimingMode`]s and cross-check every job record (every transfer
+//! result field, energy included) to the `f64` bit before reporting the
+//! speedup — the number is only meaningful if the two runs are
+//! observably identical (the broader conformance suite is
+//! `tests/timing_differential.rs`). Each cell records the scheduler's
+//! events, domain fires and skipped edges, which pin how often each
+//! clock domain wakes.
 
 use pim_bench::json::{write_json, Json};
 use pim_bench::{flag_val, SweepMeta};
+use pim_mmu::XferKind;
 use pim_runtime::{Fcfs, Runtime, RuntimeConfig, ServingSystem, TenantSpec};
-use pim_sim::{DesignPoint, SystemConfig, TimingMode};
+use pim_sim::{
+    run_transfer_timed, DesignPoint, SystemConfig, TimingMode, TransferResult, TransferSpec,
+};
 
 struct Args {
     smoke: bool,
@@ -79,6 +86,29 @@ fn assert_identical(cs: &ServingSystem, ed: &ServingSystem) {
             "job record diverged across timing modes"
         );
     }
+}
+
+/// Payload of the baseline one-shot cell.
+const BASELINE_BYTES: u64 = 256 << 10;
+
+/// The baseline one-shot cell: a DRAM→PIM transfer by the software copy
+/// threads, whose cores spend most cycles stalled on memory.
+fn baseline_one_shot(mode: TimingMode) -> (TransferResult, SweepMeta) {
+    let mut cfg = SystemConfig::table1(DesignPoint::Baseline);
+    cfg.timing = mode;
+    let spec = TransferSpec::simple(XferKind::DramToPim, BASELINE_BYTES);
+    let mut result = None;
+    let meta = SweepMeta::measure(|| {
+        let (r, stats) = run_transfer_timed(&cfg, &spec);
+        let sim_ns = r.elapsed_ns;
+        result = Some(r);
+        (sim_ns, stats)
+    });
+    (result.expect("the cell ran"), meta)
+}
+
+fn transfer_cell(label: &str, meta: &SweepMeta) -> Json {
+    Json::obj([("mode", Json::str(label)), ("meta", meta.json())])
 }
 
 /// The large-N point: sustained multi-tenant traffic sized to complete
@@ -171,6 +201,22 @@ fn main() {
         }
     );
 
+    let (cs_base, cs_base_meta) = baseline_one_shot(TimingMode::CycleStepped);
+    let (ed_base, ed_base_meta) = baseline_one_shot(TimingMode::EventDriven);
+    if let Some(d) = cs_base.first_difference(&ed_base) {
+        panic!("baseline one-shot diverged across timing modes: {d}");
+    }
+    println!(
+        "  baseline one-shot {} KiB: cycle-stepped {:.1} ms wall, {} events; \
+         event-driven {:.1} ms wall, {} events ({} edges skipped); results bit-identical",
+        BASELINE_BYTES >> 10,
+        cs_base_meta.wall_ms,
+        cs_base_meta.events_fired,
+        ed_base_meta.wall_ms,
+        ed_base_meta.events_fired,
+        ed_base_meta.edges_skipped
+    );
+
     let (big_sys, big_meta) = large_n(target_jobs, args.seed);
     let jobs = big_sys.runtime().records().len() as u64;
     assert!(
@@ -203,6 +249,20 @@ fn main() {
                 ("event_driven", mode_cell("event-driven", &ed_sys, &ed_meta)),
                 ("wall_speedup", Json::num(speedup)),
                 ("records_bit_identical", Json::Bool(true)),
+            ]),
+        ),
+        (
+            "baseline_one_shot",
+            Json::obj([
+                ("design", Json::str("Base")),
+                ("direction", Json::str("dram->pim")),
+                ("bytes", Json::int(BASELINE_BYTES)),
+                (
+                    "cycle_stepped",
+                    transfer_cell("cycle-stepped", &cs_base_meta),
+                ),
+                ("event_driven", transfer_cell("event-driven", &ed_base_meta)),
+                ("results_bit_identical", Json::Bool(true)),
             ]),
         ),
         (

@@ -10,7 +10,7 @@
 use crate::config::{DceConfig, DceMode};
 use crate::op::{OpError, PimMmuOp, XferKind};
 use crate::scheduler::{LinePair, PairScheduler};
-use pim_dram::{Completion, MemRequest, OutRequest, SourceId};
+use pim_dram::{Completion, IdRing, MemRequest, OutRequest, SourceId};
 use pim_mapping::{HetMap, PimAddrSpace, LINE_BYTES};
 use pim_telemetry::{CounterSet, Counters, FlightRecorder, SpanEvent, SpanKind, SpanTap};
 use std::collections::VecDeque;
@@ -160,61 +160,14 @@ struct SegBoundary {
     started_at: u64,
 }
 
-/// Outstanding reads keyed by request id. The engine issues ids in
-/// increasing order, so the map is a ring of slots starting at the
-/// oldest outstanding read's id: lookup is an index, and the slots of
-/// write ids and of reads already landed stay empty until the oldest
-/// read lands and the ring advances past them.
-#[derive(Debug, Default)]
-struct ReadRing {
-    /// Request id of `slots[0]`.
-    base: u64,
-    slots: VecDeque<Option<LinePair>>,
-    /// Occupied slots.
-    live: usize,
-}
-
-impl ReadRing {
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Record read `id`, which must exceed every id inserted before.
-    fn insert(&mut self, id: u64, pair: LinePair) {
-        if self.slots.is_empty() {
-            self.base = id;
-        }
-        let idx = usize::try_from(id - self.base).expect("outstanding id span fits usize");
-        debug_assert!(idx >= self.slots.len(), "read ids are issued in order");
-        self.slots.resize(idx, None);
-        self.slots.push_back(Some(pair));
-        self.live += 1;
-    }
-
-    /// Take read `id`'s line pair; `None` if no such read is outstanding.
-    fn remove(&mut self, id: u64) -> Option<LinePair> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        let pair = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        while self.slots.front().is_some_and(Option::is_none) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(pair)
-    }
-}
-
 #[derive(Debug)]
 struct Job {
     kind: XferKind,
     sched: PairScheduler,
     transpose_q: VecDeque<LinePair>,
     write_ready: VecDeque<LinePair>,
-    inflight_reads: ReadRing,
+    /// Outstanding reads: the line pair each read id carries.
+    inflight_reads: IdRing<LinePair>,
     inflight_writes: u64,
     buffer_used: u32,
     lines_written: u64,
@@ -587,7 +540,7 @@ impl Dce {
             sched,
             transpose_q: VecDeque::new(),
             write_ready: VecDeque::new(),
-            inflight_reads: ReadRing::default(),
+            inflight_reads: IdRing::default(),
             inflight_writes: 0,
             buffer_used: 0,
             lines_written: lines_done,

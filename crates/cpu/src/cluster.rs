@@ -1,13 +1,13 @@
 //! The CPU cluster: cores + shared LLC + OS scheduler + memory interface.
 
 use crate::config::CpuConfig;
-use crate::core::{Core, MemOutcome, MemPort};
+use crate::core::{Core, MemOutcome, MemPort, Ticket};
 use crate::llc::Llc;
 use crate::os::OsScheduler;
-use crate::trace::{Thread, ThreadKind};
-use pim_dram::{AccessKind, Completion, MemRequest, OutRequest, SourceId};
+use crate::trace::{Thread, ThreadKind, TraceOp};
+use pim_dram::{AccessKind, Completion, IdRing, MemRequest, OutRequest, SourceId};
 use pim_mapping::{HetMap, MemSpace, PhysAddr};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Source id used for LLC writeback traffic (no owning core).
 pub const WRITEBACK_SOURCE: u32 = u32::MAX;
@@ -15,6 +15,8 @@ pub const WRITEBACK_SOURCE: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     core: u32,
+    /// Handed back to the core when the request completes.
+    ticket: Ticket,
     /// For cacheable loads: fill the LLC with this line on return.
     fill: Option<PhysAddr>,
 }
@@ -27,14 +29,34 @@ struct ClusterMem {
     outbox: VecDeque<OutRequest>,
     outbox_cap: usize,
     next_id: u64,
-    inflight: HashMap<u64, InFlight>,
+    /// Every core request sent to memory or merged into a fill, by id.
+    inflight: IdRing<InFlight>,
     /// Line index -> loads waiting on an already-outstanding fill
     /// (MSHR-style miss merging: one memory read per missing line).
-    pending_fills: HashMap<u64, Vec<u64>>,
+    pending_fills: BTreeMap<u64, Vec<u64>>,
 }
 
 impl ClusterMem {
-    fn send(&mut self, kind: AccessKind, core: u32, addr: PhysAddr, fill: Option<PhysAddr>) -> u64 {
+    /// Whether a request to `addr` may be served by the LLC: the core
+    /// asked for a cacheable access and the line is in DRAM space.
+    fn cacheable(&self, addr: PhysAddr, cacheable: bool) -> bool {
+        cacheable && self.mapper.space_of(addr) == MemSpace::Dram
+    }
+
+    /// Whether the outbox refuses new requests (dirty writebacks may
+    /// still push it past its capacity).
+    fn outbox_full(&self) -> bool {
+        self.outbox.len() >= self.outbox_cap
+    }
+
+    fn send(
+        &mut self,
+        kind: AccessKind,
+        core: u32,
+        addr: PhysAddr,
+        ticket: Ticket,
+        fill: Option<PhysAddr>,
+    ) {
         let spaced = self.mapper.map(addr);
         let id = self.next_id;
         self.next_id += 1;
@@ -46,15 +68,14 @@ impl ClusterMem {
             space: spaced.space,
             req,
         });
-        self.inflight.insert(id, InFlight { core, fill });
-        id
+        self.inflight.insert(id, InFlight { core, ticket, fill });
     }
 }
 
 impl MemPort for ClusterMem {
-    fn load(&mut self, core: u32, addr: PhysAddr, cacheable: bool) -> MemOutcome {
+    fn load(&mut self, core: u32, addr: PhysAddr, cacheable: bool, ticket: Ticket) -> MemOutcome {
         let addr = addr.line_base();
-        let cacheable = cacheable && self.mapper.space_of(addr) == MemSpace::Dram;
+        let cacheable = self.cacheable(addr, cacheable);
         if cacheable && self.llc.probe_load(addr) {
             return MemOutcome::LlcHit;
         }
@@ -64,32 +85,64 @@ impl MemPort for ClusterMem {
                 let id = self.next_id;
                 self.next_id += 1;
                 waiters.push(id);
-                self.inflight.insert(id, InFlight { core, fill: None });
-                return MemOutcome::Sent(id);
+                self.inflight.insert(
+                    id,
+                    InFlight {
+                        core,
+                        ticket,
+                        fill: None,
+                    },
+                );
+                return MemOutcome::Sent;
             }
         }
-        if self.outbox.len() >= self.outbox_cap {
+        if self.outbox_full() {
             return MemOutcome::Rejected;
         }
         let fill = cacheable.then_some(addr);
         if cacheable {
             self.pending_fills.insert(addr.line(), Vec::new());
         }
-        MemOutcome::Sent(self.send(AccessKind::Read, core, addr, fill))
+        self.send(AccessKind::Read, core, addr, ticket, fill);
+        MemOutcome::Sent
     }
 
     fn store(&mut self, core: u32, addr: PhysAddr, cacheable: bool) -> MemOutcome {
         let addr = addr.line_base();
-        let cacheable = cacheable && self.mapper.space_of(addr) == MemSpace::Dram;
-        if cacheable && self.llc.probe_store(addr) {
+        if self.cacheable(addr, cacheable) && self.llc.probe_store(addr) {
             return MemOutcome::LlcHit;
         }
-        if self.outbox.len() >= self.outbox_cap {
+        if self.outbox_full() {
             return MemOutcome::Rejected;
         }
         // Write-no-allocate: misses (and non-temporal stores) go straight
         // to memory.
-        MemOutcome::Sent(self.send(AccessKind::Write, core, addr, None))
+        self.send(AccessKind::Write, core, addr, Ticket::Store, None);
+        MemOutcome::Sent
+    }
+
+    fn serves(&self, op: TraceOp) -> bool {
+        let (addr, cacheable, load) = match op {
+            TraceOp::Bubbles(_) => return true,
+            TraceOp::Load { addr, cacheable } => (addr, cacheable, true),
+            TraceOp::Store { addr, cacheable } => (addr, cacheable, false),
+        };
+        if !self.outbox_full() {
+            return true;
+        }
+        let addr = addr.line_base();
+        self.cacheable(addr, cacheable)
+            && (self.llc.contains(addr) || (load && self.pending_fills.contains_key(&addr.line())))
+    }
+
+    fn refuse(&mut self, op: TraceOp, n: u64) {
+        debug_assert!(!self.serves(op), "only a refused op is retried while idle");
+        if let TraceOp::Load { addr, cacheable } | TraceOp::Store { addr, cacheable } = op {
+            // A refused cacheable access missed the LLC on its way out.
+            if self.cacheable(addr.line_base(), cacheable) {
+                self.llc.count_misses(n);
+            }
+        }
     }
 }
 
@@ -145,8 +198,8 @@ impl CpuCluster {
                 outbox: VecDeque::new(),
                 outbox_cap: 64,
                 next_id: 0,
-                inflight: HashMap::new(),
-                pending_fills: HashMap::new(),
+                inflight: IdRing::default(),
+                pending_fills: BTreeMap::new(),
             },
             clock: 0,
             stats: ClusterStats {
@@ -204,30 +257,60 @@ impl CpuCluster {
             && self.mem.inflight.is_empty()
     }
 
-    /// Whether the cluster is fully quiescent: every thread has finished
-    /// and no memory traffic remains in flight. A quiescent cluster's
-    /// ticks are no-ops (no thread can start mid-run), so its clock
-    /// domain can be parked for the rest of the simulation.
-    pub fn quiescent(&self) -> bool {
-        self.threads.iter().all(|t| t.finished)
-            && self.mem.outbox.is_empty()
-            && self.mem.inflight.is_empty()
+    /// Whether the outbox refuses core requests: a core holding a load or
+    /// store that misses the LLC waits until the system layer drains it.
+    pub fn outbox_full(&self) -> bool {
+        self.mem.outbox_full()
     }
 
     /// The earliest cycle at or after [`clock`](Self::clock) at which a
-    /// tick does real work: the current cycle until the cluster is
-    /// [`quiescent`](Self::quiescent), then `None` for good (threads
-    /// cannot start mid-run, so a quiescent cluster stays quiescent).
+    /// [`tick`](Self::tick) changes state, or `None` while every core
+    /// waits on a memory completion or on a full outbox (the system layer
+    /// wakes the cluster when either arrives) — and for good once every
+    /// thread has finished and its last ops have retired, since no thread
+    /// can start mid-run.
+    ///
+    /// It is the current cycle if a thread reassignment is still
+    /// unapplied, if a core's window head can retire, if a core can
+    /// dispatch (see [`Core::next_event_cycle`]), or if memory would now
+    /// serve a core's held op; otherwise the earliest pending LLC hit
+    /// return, end of a context-switch stall with dispatch waiting, or
+    /// OS rotation.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        (!self.quiescent()).then_some(self.clock)
+        let now = self.clock;
+        // `retire_thread` leaves the new assignment for the next tick.
+        if self.sched.assignments() != self.last_assignments.as_slice() {
+            return Some(now);
+        }
+        let mut h = self.sched.next_rotate().map(|r| r.max(now));
+        for (core, &tid) in self.cores.iter().zip(&self.last_assignments) {
+            let can_pull = tid.is_some_and(|t| !self.threads[t].finished);
+            if let Some(e) = core.next_event_cycle(now, &self.mem, can_pull) {
+                if e == now {
+                    return Some(now);
+                }
+                h = Some(h.map_or(e, |h| h.min(e)));
+            }
+        }
+        h
     }
 
-    /// Catch up over `cycles` skipped cycles — exactly equivalent to
-    /// that many [`tick`](Self::tick)s while
-    /// [`quiescent`](Self::quiescent) (retired threads never reschedule,
-    /// idle cores retire nothing, so a quiescent tick only advances the
-    /// clock).
+    /// Catch up over `cycles` cycles short of the
+    /// [`next_event_cycle`](Self::next_event_cycle) horizon — exactly
+    /// equivalent to that many [`tick`](Self::tick)s. Such ticks retire,
+    /// dispatch and rotate nothing, but they are not free: every core
+    /// with a non-empty window is busy on each of them, and a core whose
+    /// cacheable DRAM load or store the full outbox refuses probes the
+    /// LLC again (a miss) on each of them.
     pub fn skip_cycles(&mut self, cycles: u64) {
+        debug_assert!(
+            self.next_event_cycle()
+                .is_none_or(|h| h >= self.clock + cycles),
+            "a skip must stop short of the cluster's horizon"
+        );
+        for core in &mut self.cores {
+            core.skip_cycles(self.clock, cycles, &mut self.mem);
+        }
         self.clock += cycles;
         self.stats.cycles = self.clock;
     }
@@ -235,7 +318,7 @@ impl CpuCluster {
     /// Route a memory completion back to the owning core, filling the LLC
     /// for cacheable loads (which may trigger a dirty writeback).
     pub fn on_completion(&mut self, c: Completion) {
-        let Some(inf) = self.mem.inflight.remove(&c.id) else {
+        let Some(inf) = self.mem.inflight.remove(c.id) else {
             return; // LLC writeback or foreign traffic
         };
         if let Some(line) = inf.fill {
@@ -253,28 +336,26 @@ impl CpuCluster {
             // Wake every load merged into this fill.
             if let Some(waiters) = self.mem.pending_fills.remove(&line.line()) {
                 for w in waiters {
-                    if let Some(wi) = self.mem.inflight.remove(&w) {
-                        self.cores[wi.core as usize].on_completion(w);
+                    if let Some(wi) = self.mem.inflight.remove(w) {
+                        self.cores[wi.core as usize].on_completion(wi.ticket);
                     }
                 }
             }
         }
-        if inf.core != WRITEBACK_SOURCE {
-            self.cores[inf.core as usize].on_completion(c.id);
-        }
+        self.cores[inf.core as usize].on_completion(inf.ticket);
     }
 
     /// Execute one core-clock cycle on all cores.
     pub fn tick(&mut self) {
         let now = self.clock;
         self.sched.tick(now);
-        let assignments: Vec<Option<usize>> = self.sched.assignments().to_vec();
+        let assignments = self.sched.assignments();
         // Context switches: hand stalled ops back to the thread that owns
         // them and charge the switch penalty.
-        if assignments != self.last_assignments {
+        if assignments != self.last_assignments.as_slice() {
             for (c_idx, core) in self.cores.iter_mut().enumerate() {
-                let old = self.last_assignments.get(c_idx).copied().flatten();
-                if old == assignments.get(c_idx).copied().flatten() {
+                let old = self.last_assignments[c_idx];
+                if old == assignments[c_idx] {
                     continue;
                 }
                 core.stall_until = now + self.cfg.ctx_switch_cycles;
@@ -285,11 +366,10 @@ impl CpuCluster {
                     }
                 }
             }
-            self.last_assignments = assignments.clone();
+            self.last_assignments.copy_from_slice(assignments);
         }
         let mut newly_finished: Vec<usize> = Vec::new();
-        for (c_idx, core) in self.cores.iter_mut().enumerate() {
-            let tid = assignments.get(c_idx).copied().flatten();
+        for (core, &tid) in self.cores.iter_mut().zip(&self.last_assignments) {
             let threads = &mut self.threads;
             let mut exhausted = false;
             let retired = {
@@ -355,6 +435,7 @@ impl CpuCluster {
 mod tests {
     use super::*;
     use crate::streams::{CopyChunk, SpinStream, XferDir, XferStream};
+    use crate::trace::TraceOp;
     use pim_mapping::Organization;
 
     fn mapper() -> HetMap {
@@ -390,6 +471,123 @@ mod tests {
         }
     }
 
+    /// A stream that replays a fixed list of ops.
+    struct Script(VecDeque<TraceOp>);
+
+    impl crate::trace::InstrStream for Script {
+        fn next_op(&mut self) -> Option<TraceOp> {
+            self.0.pop_front()
+        }
+    }
+
+    fn script(ops: &[TraceOp]) -> Thread {
+        Thread::new(
+            Box::new(Script(ops.iter().copied().collect())),
+            ThreadKind::Memory,
+        )
+    }
+
+    fn load(line: u64) -> TraceOp {
+        TraceOp::Load {
+            addr: PhysAddr(line * 64),
+            cacheable: true,
+        }
+    }
+
+    /// Pad the outbox to its capacity with writes nobody waits on.
+    fn fill_outbox(cluster: &mut CpuCluster) {
+        for id in 1 << 40.. {
+            if cluster.outbox_full() {
+                return;
+            }
+            let addr = PhysAddr((1 << 20) + (id & 0xffff) * 64);
+            let spaced = cluster.mem.mapper.map(addr);
+            cluster.outbox_mut().push_back(OutRequest {
+                space: spaced.space,
+                req: MemRequest::write(id, addr, spaced.addr, SourceId(WRITEBACK_SOURCE)),
+            });
+        }
+    }
+
+    /// Complete request `id` as memory would.
+    fn complete(cluster: &mut CpuCluster, id: u64) {
+        cluster.on_completion(Completion {
+            id,
+            kind: AccessKind::Read,
+            source: SourceId(0),
+            cycle: 0,
+        });
+    }
+
+    #[test]
+    fn a_held_store_the_llc_can_take_is_an_event_despite_a_full_outbox() {
+        // One store-buffer entry: a PIM-bound store takes it, and the
+        // cacheable store behind it is held for room.
+        let mut cfg = CpuConfig::table1();
+        cfg.cores = 1;
+        cfg.store_buffer = 1;
+        let hot = 100;
+        let pim_store = TraceOp::Store {
+            addr: PhysAddr(32 << 30),
+            cacheable: false,
+        };
+        let held = TraceOp::Store {
+            addr: PhysAddr(hot * 64),
+            cacheable: true,
+        };
+        let mut cluster = CpuCluster::new(cfg, mapper(), vec![script(&[pim_store, held])]);
+        cluster.mem.llc.fill(PhysAddr(hot * 64), false);
+        cluster.tick();
+        cluster.tick(); // the posted store retires
+        let sent = cluster.outbox_mut().front().expect("the PIM store").req.id;
+        fill_outbox(&mut cluster);
+        assert_eq!(
+            cluster.next_event_cycle(),
+            None,
+            "held for the store buffer"
+        );
+        // Its completion frees the entry, and the LLC takes the held store
+        // although the outbox is full.
+        complete(&mut cluster, sent);
+        assert_eq!(cluster.next_event_cycle(), Some(cluster.clock()));
+        let hits = cluster.llc().hits;
+        cluster.tick();
+        assert_eq!(cluster.llc().hits, hits + 1);
+        assert_eq!(cluster.core_stats()[0].stores_to_mem, 1);
+    }
+
+    #[test]
+    fn a_held_load_that_can_merge_is_an_event_despite_a_full_outbox() {
+        // One MSHR per core. Core 0 misses on line X and holds its next
+        // load; core 1 takes an LLC hit on H, misses on Y and holds its
+        // load of X.
+        let mut cfg = CpuConfig::table1();
+        cfg.cores = 2;
+        cfg.mshrs = 1;
+        let (x, h, y, z) = (100, 200, 300, 400);
+        let threads = vec![
+            script(&[load(x), load(z)]),
+            script(&[load(h), load(y), load(x)]),
+        ];
+        let mut cluster = CpuCluster::new(cfg, mapper(), threads);
+        cluster.mem.llc.fill(PhysAddr(h * 64), false);
+        cluster.tick();
+        let ids: Vec<u64> = cluster.outbox_mut().iter().map(|o| o.req.id).collect();
+        assert_eq!(ids.len(), 2, "X and Y reached the outbox");
+        fill_outbox(&mut cluster);
+        // Y's data frees core 1's MSHR but retires nothing: the LLC hit
+        // on H heads its window until the hit latency passes.
+        complete(&mut cluster, ids[1]);
+        assert_eq!(
+            cluster.next_event_cycle(),
+            Some(cluster.clock()),
+            "the held load merges into core 0's fill of X"
+        );
+        cluster.tick();
+        assert_eq!(cluster.core_stats()[1].loads_to_mem, 2);
+        assert!(cluster.outbox_full(), "the merge sent nothing");
+    }
+
     #[test]
     fn transfer_thread_runs_to_completion() {
         let chunks = vec![CopyChunk {
@@ -410,6 +608,14 @@ mod tests {
         }
         assert!(cluster.kind_finished(ThreadKind::Transfer));
         assert!(cluster.thread_finished_at(0).is_some());
+        // Once the last ops retire, the finished cluster sleeps for good.
+        for _ in 0..100 {
+            if cluster.next_event_cycle().is_none() {
+                break;
+            }
+            cluster.tick();
+        }
+        assert_eq!(cluster.next_event_cycle(), None);
         // 64 lines moved: 64 loads + 64 stores reached memory.
         let cs = cluster.core_stats();
         let loads: u64 = cs.iter().map(|s| s.loads_to_mem).sum();

@@ -94,6 +94,21 @@ impl Llc {
         false
     }
 
+    /// Whether `addr`'s line is resident. A pure read: no LRU update and
+    /// no hit or miss counted.
+    pub fn contains(&self, addr: PhysAddr) -> bool {
+        let (set, tag) = self.index(addr);
+        self.sets[set].iter().any(|e| e.valid && e.tag == tag)
+    }
+
+    /// Count `n` probes of a line that is not resident, exactly as `n`
+    /// missing [`probe_load`](Self::probe_load)/[`probe_store`](Self::probe_store)
+    /// calls would: each takes an LRU stamp and counts a miss.
+    pub fn count_misses(&mut self, n: u64) {
+        self.stamp += n;
+        self.misses += n;
+    }
+
     /// Install `addr`'s line (after a fill from memory), evicting the LRU
     /// way. Returns the physical address of an evicted *dirty* line that
     /// must be written back, if any.
@@ -146,11 +161,15 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = Llc::new(1 << 20, 16);
         let a = PhysAddr(0x4000);
+        assert!(!c.contains(a));
         assert!(!c.probe_load(a));
         assert_eq!(c.fill(a, false), None);
+        assert!(c.contains(a));
         assert!(c.probe_load(a));
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
+        c.count_misses(3);
+        assert_eq!((c.hits, c.misses), (1, 4), "contains counts nothing");
     }
 
     #[test]

@@ -45,17 +45,21 @@ impl OsScheduler {
         self.reassign();
     }
 
+    /// The cycle of the next rotation while more threads are runnable
+    /// than there are cores; `None` once they all fit (the run queue only
+    /// shrinks, so no later rotation can change the assignment).
+    pub fn next_rotate(&self) -> Option<u64> {
+        (self.runqueue.len() > self.cores).then_some(self.next_rotate)
+    }
+
     /// Advance to `now`; returns `true` if the assignment changed (the
     /// cluster then charges context-switch penalties).
     pub fn tick(&mut self, now: u64) -> bool {
-        if now < self.next_rotate {
+        if now < self.next_rotate || self.runqueue.len() <= self.cores {
+            // Not due, or everybody already runs: nothing to rotate.
             return false;
         }
         self.next_rotate = now + self.quantum;
-        if self.runqueue.len() <= self.cores {
-            // Everybody already runs; nothing to rotate.
-            return false;
-        }
         // The batch that just ran goes to the back of the queue.
         let batch = self.cores.min(self.runqueue.len());
         for _ in 0..batch {
@@ -86,6 +90,7 @@ mod tests {
     fn undersubscribed_assignment_is_stable() {
         let mut s = OsScheduler::new(4, 2, 100);
         assert_eq!(s.assignments(), &[Some(0), Some(1), None, None]);
+        assert_eq!(s.next_rotate(), None, "nothing to rotate");
         assert!(!s.tick(100));
         assert_eq!(s.assignments(), &[Some(0), Some(1), None, None]);
     }
@@ -94,7 +99,9 @@ mod tests {
     fn oversubscribed_rotation_is_fair() {
         let mut s = OsScheduler::new(2, 5, 100);
         assert_eq!(s.assignments(), &[Some(0), Some(1)]);
+        assert_eq!(s.next_rotate(), Some(100));
         assert!(s.tick(100));
+        assert_eq!(s.next_rotate(), Some(200));
         assert_eq!(s.assignments(), &[Some(2), Some(3)]);
         assert!(s.tick(200));
         assert_eq!(s.assignments(), &[Some(4), Some(0)]);

@@ -50,7 +50,7 @@ pub mod validate;
 
 pub use channel::ChannelState;
 pub use controller::{ControllerConfig, MemController};
-pub use request::{AccessKind, Completion, MemRequest, OutRequest, SourceId};
+pub use request::{AccessKind, Completion, IdRing, MemRequest, OutRequest, SourceId};
 pub use stats::ChannelStats;
 pub use timing::{Command, TimingParams};
 pub use validate::TimingValidator;

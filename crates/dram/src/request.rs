@@ -2,6 +2,7 @@
 
 use pim_mapping::{DramAddr, MemSpace, PhysAddr};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,6 +90,74 @@ pub struct Completion {
     pub cycle: u64,
 }
 
+/// Per-request state of a source's outstanding requests, keyed by
+/// request id. A source hands out ids in increasing order, so the map is a
+/// ring of slots starting at the oldest outstanding id: lookup is an
+/// index, and the slots of ids never recorded (or already taken) stay
+/// empty until the oldest entry is taken and the ring advances past
+/// them.
+#[derive(Debug, Clone)]
+pub struct IdRing<T> {
+    /// Request id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<T>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl<T> Default for IdRing<T> {
+    fn default() -> Self {
+        IdRing {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> IdRing<T> {
+    /// Entries recorded and not yet taken.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no entry is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Record `v` for request `id`, which must exceed every id recorded
+    /// before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span from the oldest outstanding id to `id` does
+    /// not fit `usize`.
+    pub fn insert(&mut self, id: u64, v: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let idx = usize::try_from(id - self.base).expect("outstanding id span fits usize");
+        debug_assert!(idx >= self.slots.len(), "ids are recorded in order");
+        self.slots.resize_with(idx, || None);
+        self.slots.push_back(Some(v));
+        self.live += 1;
+    }
+
+    /// Take request `id`'s entry; `None` if no such request is
+    /// outstanding.
+    pub fn remove(&mut self, id: u64) -> Option<T> {
+        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let v = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,5 +171,29 @@ mod tests {
         assert_eq!(w.kind, AccessKind::Write);
         assert_eq!(r.source, SourceId(3));
         assert_eq!(w.id, 2);
+    }
+
+    #[test]
+    fn id_ring_takes_out_of_order_and_skips_gaps() {
+        let mut r = IdRing::default();
+        assert!(r.is_empty());
+        for id in [5u64, 7, 8, 12] {
+            r.insert(id, id * 10);
+        }
+        assert_eq!(r.len(), 4);
+        // Unknown ids: below the base, in a gap, past the end.
+        assert_eq!(r.remove(4), None);
+        assert_eq!(r.remove(6), None);
+        assert_eq!(r.remove(13), None);
+        assert_eq!(r.remove(8), Some(80));
+        assert_eq!(r.remove(8), None);
+        assert_eq!(r.remove(5), Some(50));
+        assert_eq!(r.remove(12), Some(120));
+        assert_eq!(r.remove(7), Some(70));
+        assert!(r.is_empty());
+        // An emptied ring restarts at the next id recorded.
+        r.insert(1_000_000, 1);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.remove(1_000_000), Some(1));
     }
 }

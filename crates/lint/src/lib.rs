@@ -13,7 +13,7 @@
 //!
 //! | id | scope | what it rejects |
 //! |----|-------|-----------------|
-//! | `hash-collections` | `crates/{sim,core,dram,runtime,telemetry}/src` | any `HashMap`/`HashSet` use — hash-iteration order is nondeterministic across builds, and SipHash is slow on hot paths |
+//! | `hash-collections` | `crates/{sim,core,cpu,dram,runtime,telemetry}/src` | any `HashMap`/`HashSet` use — hash-iteration order is nondeterministic across builds, and SipHash is slow on hot paths |
 //! | `wall-clock` | everywhere except the self-profiler (`sim/src/system.rs`, `runtime/src/serving.rs`) and `crates/bench` | `Instant::now()` / `SystemTime::now()` — host time must never leak into simulated time |
 //! | `truncating-cast` | `crates/{sim,core,dram,hostq,runtime}/src` | bare `as u8/u16/u32/i8/i16/i32` between integer widths — use `try_from` or a widening cast |
 //! | `no-f32` | `crates/{sim,core,dram,hostq,runtime,telemetry}/src` | any `f32` — all model arithmetic is `f64`; mixing widths changes rounding between platforms |
@@ -82,10 +82,12 @@ impl fmt::Display for Violation {
 
 /// Crates whose `src/` must never touch hash-ordered collections: their
 /// iteration order feeds scheduling decisions and exported artifacts,
-/// and the engine's per-completion lookups sit on the hottest path.
+/// and the engine's and the CPU model's per-access lookups sit on the
+/// hottest paths.
 const HASH_SCOPED: &[&str] = &[
     "crates/sim/src/",
     "crates/core/src/",
+    "crates/cpu/src/",
     "crates/dram/src/",
     "crates/runtime/src/",
     "crates/telemetry/src/",

@@ -32,6 +32,12 @@ fn hash_collections_fixture_trips() {
         include_str!("fixtures/hash_collections.rs"),
     );
     assert_eq!(rules_of(&dram), vec!["hash-collections"; 2], "{dram:?}");
+    // So is the CPU model: its cores and LLC look up requests per access.
+    let cpu = lint_source(
+        "crates/cpu/src/fixture.rs",
+        include_str!("fixtures/hash_collections.rs"),
+    );
+    assert_eq!(rules_of(&cpu), vec!["hash-collections"; 2], "{cpu:?}");
 }
 
 #[test]

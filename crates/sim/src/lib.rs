@@ -39,8 +39,11 @@ pub use clock::{ns_to_ticks, period_ticks, ticks_to_ns, TICKS_PER_NS};
 pub use config::TimingMode;
 pub use config::{DesignPoint, SystemConfig, ThreadAssignment};
 pub use engine::{ClockDomains, DomainId, Fired, TimingStats};
+pub use pim_cpu::streams::Intensity;
 pub use result::{PowerSample, TransferResult};
 #[cfg(feature = "sanitize")]
 pub use sanitize::{SanitizeKind, SanitizeViolation};
 pub use system::{DomainProfile, System};
-pub use transfer::{run_memcpy, run_transfer, ContenderSpec, TransferSpec, HOST_BUFFER_BASE};
+pub use transfer::{
+    run_memcpy, run_transfer, run_transfer_timed, ContenderSpec, TransferSpec, HOST_BUFFER_BASE,
+};

@@ -57,6 +57,68 @@ impl TransferResult {
         self.bytes as f64 / uj
     }
 
+    /// The first field in which `self` and `other` differ, with both
+    /// values; `None` if every simulated field agrees to the `f64` bit
+    /// (byte count, elapsed time, each energy segment, each power
+    /// sample, the per-channel windows and both bus utilizations). The
+    /// cycle-stepped and event-driven timing modes must always agree.
+    pub fn first_difference(&self, other: &TransferResult) -> Option<String> {
+        if self.bytes != other.bytes {
+            return Some(format!("bytes: {} vs {}", self.bytes, other.bytes));
+        }
+        let scalars = [
+            ("elapsed_ns", self.elapsed_ns, other.elapsed_ns),
+            (
+                "pim bus utilization",
+                self.pim_bus_utilization,
+                other.pim_bus_utilization,
+            ),
+            (
+                "dram bus utilization",
+                self.dram_bus_utilization,
+                other.dram_bus_utilization,
+            ),
+        ];
+        let energy = self
+            .energy
+            .segments()
+            .into_iter()
+            .zip(other.energy.segments())
+            .map(|((name, a), (_, b))| (name, a, b));
+        for (name, a, b) in scalars.into_iter().chain(energy) {
+            if a.to_bits() != b.to_bits() {
+                return Some(format!("{name}: {a} vs {b}"));
+            }
+        }
+        if self.power_samples.len() != other.power_samples.len() {
+            return Some(format!(
+                "power sample count: {} vs {}",
+                self.power_samples.len(),
+                other.power_samples.len()
+            ));
+        }
+        for (i, (a, b)) in self
+            .power_samples
+            .iter()
+            .zip(&other.power_samples)
+            .enumerate()
+        {
+            if a.t_ns.to_bits() != b.t_ns.to_bits()
+                || a.active_cores != b.active_cores
+                || a.watts.to_bits() != b.watts.to_bits()
+            {
+                return Some(format!("power sample {i}: {a:?} vs {b:?}"));
+            }
+        }
+        if self.pim_channel_windows != other.pim_channel_windows {
+            return Some("pim channel windows".to_string());
+        }
+        if self.dram_channel_windows != other.dram_channel_windows {
+            return Some("dram channel windows".to_string());
+        }
+        None
+    }
+
     /// Wall-clock speedup of `self` over `baseline` (latency ratio).
     ///
     /// Guarded against zero-elapsed results (e.g. a run cut off by the

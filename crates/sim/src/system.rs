@@ -186,7 +186,10 @@ impl System {
         &self.mapper
     }
 
-    /// The CPU cluster.
+    /// The CPU cluster. While its domain sleeps, its clock and per-core
+    /// counters lag the current tick; a sample (and so
+    /// [`finish_sampling`](Self::finish_sampling)) catches them up.
+    /// Thread finish cycles are always exact: a thread finishes on a tick.
     pub fn cluster(&self) -> &CpuCluster {
         &self.cluster
     }
@@ -318,6 +321,29 @@ impl System {
         }
     }
 
+    /// Catch the cluster up over the CPU edges at or before tick `t` it
+    /// slept through, so an input routed to it at `t` (a completion, room
+    /// in its outbox) lands after the cycles it slept in its old state.
+    /// No-op when caught up.
+    fn sync_cluster_through(&mut self, t: u64) {
+        let target = self.clocks.edges_through(self.domains.cpu, t);
+        let deficit = target.saturating_sub(self.cluster.clock());
+        if deficit > 0 {
+            self.cluster.skip_cycles(deficit);
+        }
+    }
+
+    /// Re-arm the CPU domain at the cluster's horizon, if it has one —
+    /// after an input at the current tick, once the cluster is caught up
+    /// through it, so the horizon is a later edge. Never delays an
+    /// earlier delivery.
+    fn wake_cluster(&mut self) {
+        if let Some(h) = self.cluster.next_event_cycle() {
+            let tick = self.clocks.edge_tick(self.domains.cpu, h);
+            self.clocks.wake_at(self.domains.cpu, tick);
+        }
+    }
+
     /// Skip `dce` forward to engine cycle `target` (no-op if it is there).
     fn catch_up_engine(dce: &mut Dce, target: u64) {
         let deficit = target.saturating_sub(dce.cycle());
@@ -430,12 +456,17 @@ impl System {
     /// current step's phase position (see
     /// [`drain_requests`](Self::drain_requests)).
     ///
-    /// Refills run after the engines' phase, so an engine whose full
-    /// outbox drains here is caught up through `t` first (room in the
-    /// outbox changes which of its slept cycles count as buffer stalls)
-    /// and woken at its next edge if the room lets it issue.
+    /// Refills run after the cluster's and the engines' phases, so a
+    /// source whose full outbox drains here is caught up through `t`
+    /// first (room in the outbox changes what its slept cycles did: an
+    /// engine's buffer stalls, a core's refused LLC probes) and woken at
+    /// its horizon if the room lets it act.
     fn refill_controller_queues(&mut self, ticked: PhasePos) {
         let t = self.t;
+        let cluster_full = self.cluster.outbox_full();
+        if cluster_full {
+            self.sync_cluster_through(t);
+        }
         Self::drain_requests(
             self.cluster.outbox_mut(),
             &mut self.dram,
@@ -445,6 +476,9 @@ impl System {
             t,
             ticked,
         );
+        if cluster_full && !self.cluster.outbox_full() {
+            self.wake_cluster();
+        }
         for (dce, &dom) in self.engines.iter_mut().zip(&self.domains.dce) {
             let was_full = dce.outbox_full();
             if was_full {
@@ -477,10 +511,11 @@ impl System {
     /// one idle cycle, which its horizon proves equal to a tick. The
     /// cycle-stepped reference ticks every controller on every edge.
     ///
-    /// An engine completion is a cross-domain input. The engines' phase
-    /// at `t` already ran, so a parked engine is caught up through `t`
-    /// in its pre-completion state, then woken at its first edge after
-    /// `t` if the completion lets it act.
+    /// A completion is a cross-domain input. The cluster's and the
+    /// engines' phases at `t` already ran, so a parked engine or cluster
+    /// is caught up through `t` in its pre-completion state, then woken
+    /// at its first edge after `t` (the cluster: at its horizon) if the
+    /// completion lets it act.
     fn tick_controllers(&mut self, space: MemSpace, target: u64) {
         let every_edge = self.cfg.timing == TimingMode::CycleStepped;
         let ctrls = match space {
@@ -501,6 +536,7 @@ impl System {
             }
         }
         let t = self.t;
+        let mut to_cluster = false;
         for c in done {
             // Engine traffic is tagged DCE_SOURCE + shard: route the
             // completion back to the shard that issued the request.
@@ -514,8 +550,15 @@ impl System {
                     self.clocks.wake_at(dom, t + 1);
                 }
             } else {
+                if !to_cluster {
+                    self.sync_cluster_through(t);
+                    to_cluster = true;
+                }
                 self.cluster.on_completion(c);
             }
+        }
+        if to_cluster {
+            self.wake_cluster();
         }
     }
 
@@ -774,11 +817,7 @@ impl System {
         // before the sampler at coincident edges). No-ops unless edges
         // were skipped.
         let t = self.t;
-        let target = self.clocks.edges_through(self.domains.cpu, t);
-        let deficit = target.saturating_sub(self.cluster.clock());
-        if deficit > 0 {
-            self.cluster.skip_cycles(deficit);
-        }
+        self.sync_cluster_through(t);
         for (dom, ctrls) in [
             (self.domains.dram, &mut self.dram),
             (self.domains.pim, &mut self.pim),
@@ -923,6 +962,17 @@ impl System {
             "engine {s} must have work for the park to lose"
         );
         self.clocks.park(self.domains.dce[s]);
+    }
+
+    /// Inject a **lost CPU wakeup**: park the cluster's domain even
+    /// though a core can act at its next edge (a memory completion routed
+    /// to the cluster without the wake). The next `step` must flag it.
+    pub fn sanitize_inject_lost_cpu_wakeup(&mut self) {
+        assert!(
+            self.cluster.next_event_cycle().is_some(),
+            "the cluster must have work for the park to lose"
+        );
+        self.clocks.park(self.domains.cpu);
     }
 
     /// Check 4 for composer-owned domains: each `(domain, edge)` pairs

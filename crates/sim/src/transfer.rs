@@ -1,6 +1,7 @@
 //! Transfer experiment runner: the common harness behind Fig. 13/14/15/16.
 
 use crate::config::{SystemConfig, ThreadAssignment};
+use crate::engine::TimingStats;
 use crate::result::TransferResult;
 use crate::system::System;
 use pim_cpu::streams::{
@@ -172,6 +173,20 @@ fn collect_result(sys: &mut System, design: &str, bytes: u64, elapsed_ns: f64) -
 /// Panics if the transfer does not complete within `spec.max_ns` (a
 /// deadlock in the model — never expected).
 pub fn run_transfer(cfg: &SystemConfig, spec: &TransferSpec) -> TransferResult {
+    run_transfer_timed(cfg, spec).0
+}
+
+/// [`run_transfer`], also returning the scheduler's work counters over
+/// the run: how many events, domain fires and skipped edges it took
+/// (deterministic, unlike its wall time).
+///
+/// # Panics
+///
+/// As [`run_transfer`].
+pub fn run_transfer_timed(
+    cfg: &SystemConfig,
+    spec: &TransferSpec,
+) -> (TransferResult, TimingStats) {
     let mapper = cfg.mapper();
     let space = PimAddrSpace::new(mapper.pim_base(), cfg.pim_org);
     let mut threads = Vec::new();
@@ -230,7 +245,8 @@ pub fn run_transfer(cfg: &SystemConfig, spec: &TransferSpec) -> TransferResult {
     if elapsed_ns <= 0.0 {
         elapsed_ns = sys.now_ns();
     }
-    collect_result(&mut sys, design.label(), spec.total_bytes, elapsed_ns)
+    let result = collect_result(&mut sys, design.label(), spec.total_bytes, elapsed_ns);
+    (result, sys.timing_stats())
 }
 
 /// Run the AVX-stream `memcpy` microbenchmark (Fig. 14): multi-threaded

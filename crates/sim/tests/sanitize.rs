@@ -3,6 +3,8 @@
 //! injected fault class (a checker that never fires proves nothing).
 #![cfg(feature = "sanitize")]
 
+use pim_cpu::streams::MemcpyStream;
+use pim_cpu::{Thread, ThreadKind};
 use pim_mapping::PhysAddr;
 use pim_mmu::{DceMode, PimMmuOp};
 use pim_sim::{run_memcpy, DesignPoint, SanitizeKind, System, SystemConfig, HOST_BUFFER_BASE};
@@ -33,6 +35,15 @@ fn clean_memcpy_run_is_silent() {
     let cfg = SystemConfig::table1(DesignPoint::BaseDHP);
     let r = run_memcpy(&cfg, 1 << 20, 1e9);
     assert_eq!(r.bytes, 1 << 20);
+}
+
+#[test]
+fn clean_baseline_memcpy_run_is_silent() {
+    // The CPU cluster sleeps between its own events on the baseline's
+    // software copy path; every one of its wakes is checked here.
+    let cfg = SystemConfig::table1(DesignPoint::Baseline);
+    let r = run_memcpy(&cfg, 256 << 10, 1e9);
+    assert_eq!(r.bytes, 256 << 10);
 }
 
 #[test]
@@ -118,5 +129,42 @@ fn lost_engine_wakeup_injection_trips() {
         vs.iter()
             .any(|v| v.kind == SanitizeKind::LostWakeup && v.domain == "dce"),
         "parked engine with a line to transpose must be flagged: {vs:?}"
+    );
+}
+
+#[test]
+fn lost_cpu_wakeup_injection_trips() {
+    let bytes = 64 << 10;
+    let copy = MemcpyStream::new(
+        PhysAddr(HOST_BUFFER_BASE),
+        PhysAddr(HOST_BUFFER_BASE + (1 << 30)),
+        bytes,
+    );
+    let threads = vec![Thread::new(Box::new(copy), ThreadKind::Transfer)];
+    let mut sys = System::new(SystemConfig::table1(DesignPoint::Baseline), threads);
+    sys.sanitize_record_only();
+    // Run into the copy loop, then on to an edge where the cluster can
+    // act: its domain must be armed.
+    for _ in 0..2_000 {
+        sys.step();
+    }
+    let mut steps = 0;
+    while sys.cluster().next_event_cycle().is_none() {
+        sys.step();
+        steps += 1;
+        assert!(steps < 1_000_000, "the copy loop never had work again");
+    }
+    assert!(
+        sys.sanitize_violations().is_empty(),
+        "clean copy loop must be violation-free: {:?}",
+        sys.sanitize_violations()
+    );
+    sys.sanitize_inject_lost_cpu_wakeup();
+    sys.step();
+    let vs = sys.sanitize_violations();
+    assert!(
+        vs.iter()
+            .any(|v| v.kind == SanitizeKind::LostWakeup && v.domain == "cpu"),
+        "parked cluster with a core that can act must be flagged: {vs:?}"
     );
 }

@@ -3,9 +3,11 @@
 //! under [`TimingMode::CycleStepped`] (the reference driver: no domain
 //! ever parks or defers, every edge ticks) and once under
 //! [`TimingMode::EventDriven`] — and every observable output is
-//! compared to the `f64` *bit*: one-shot [`TransferResult`]s across the
-//! design-point ladder, and serving-runtime job records, tenant stats
-//! and host-interface counters across randomized policy × placement ×
+//! compared to the `f64` *bit*: one-shot [`TransferResult`]s (energy
+//! segments and power samples included) across the design-point ladder,
+//! the baseline beside spin and memory contenders, and memcpy under both
+//! mappings, and serving-runtime job records, tenant stats and
+//! host-interface counters across randomized policy × placement ×
 //! preemption × continuation × affinity × idle-gap scenarios.
 //!
 //! The sparse scenarios additionally assert `edges_skipped > 0` in the
@@ -24,7 +26,8 @@ use pim_runtime::{
     TenantSpec,
 };
 use pim_sim::{
-    run_memcpy, run_transfer, DesignPoint, SystemConfig, TimingMode, TransferResult, TransferSpec,
+    run_memcpy, run_transfer, ContenderSpec, DesignPoint, Intensity, SystemConfig, TimingMode,
+    TransferResult, TransferSpec,
 };
 
 fn cfg(design: DesignPoint, mode: TimingMode) -> SystemConfig {
@@ -35,31 +38,10 @@ fn cfg(design: DesignPoint, mode: TimingMode) -> SystemConfig {
 }
 
 fn assert_transfer_bits_eq(a: &TransferResult, b: &TransferResult, label: &str) {
-    assert_eq!(a.bytes, b.bytes, "{label}: bytes");
     assert_eq!(
-        a.elapsed_ns.to_bits(),
-        b.elapsed_ns.to_bits(),
-        "{label}: elapsed drifted ({} vs {} ns)",
-        a.elapsed_ns,
-        b.elapsed_ns
-    );
-    assert_eq!(
-        a.pim_bus_utilization.to_bits(),
-        b.pim_bus_utilization.to_bits(),
-        "{label}: pim bus utilization"
-    );
-    assert_eq!(
-        a.dram_bus_utilization.to_bits(),
-        b.dram_bus_utilization.to_bits(),
-        "{label}: dram bus utilization"
-    );
-    assert_eq!(
-        a.pim_channel_windows, b.pim_channel_windows,
-        "{label}: pim channel windows"
-    );
-    assert_eq!(
-        a.dram_channel_windows, b.dram_channel_windows,
-        "{label}: dram channel windows"
+        a.first_difference(b),
+        None,
+        "{label}: the timing modes diverged"
     );
 }
 
@@ -85,17 +67,58 @@ fn one_shot_transfers_are_bit_identical_across_the_design_ladder() {
 
 #[test]
 fn software_memcpy_is_bit_identical() {
-    let cs = run_memcpy(
-        &cfg(DesignPoint::Baseline, TimingMode::CycleStepped),
-        1 << 20,
-        2e9,
-    );
-    let ed = run_memcpy(
-        &cfg(DesignPoint::Baseline, TimingMode::EventDriven),
-        1 << 20,
-        2e9,
-    );
-    assert_transfer_bits_eq(&cs, &ed, "memcpy 1MiB");
+    // Under the locality-centric baseline mapping and under HetMap's.
+    for design in [DesignPoint::Baseline, DesignPoint::BaseDHP] {
+        let cs = run_memcpy(&cfg(design, TimingMode::CycleStepped), 1 << 20, 2e9);
+        let ed = run_memcpy(&cfg(design, TimingMode::EventDriven), 1 << 20, 2e9);
+        assert_transfer_bits_eq(&cs, &ed, &format!("memcpy 1MiB {design:?}"));
+    }
+}
+
+/// The baseline's software copy threads beside co-located contenders:
+/// the regimes where the CPU cluster sleeps between its own events and
+/// must wake exactly. (No shipped stream makes a cacheable store, so
+/// dirty writebacks are left to `crates/cpu/tests/skip_oracle.rs`.)
+#[test]
+fn contended_baseline_transfers_are_bit_identical() {
+    let cells = [
+        // Twenty runnable threads on eight cores under a short quantum:
+        // OS rotation, context-switch stalls and ops handed back to
+        // their thread at a switch.
+        (
+            "Spin(12), 20k-cycle quantum",
+            ContenderSpec::Spin(12),
+            Some(20_000),
+        ),
+        // Cacheable contender loads beside the copy loop: LLC hits,
+        // merged fills and loads the full outbox refuses.
+        (
+            "Memory(2, Low)",
+            ContenderSpec::Memory(2, Intensity::Low),
+            None,
+        ),
+        (
+            "Memory(2, High)",
+            ContenderSpec::Memory(2, Intensity::High),
+            None,
+        ),
+    ];
+    for (label, contender, quantum) in cells {
+        let spec = TransferSpec {
+            contenders: vec![contender],
+            ..TransferSpec::simple(XferKind::DramToPim, 64 << 10)
+        };
+        let run = |mode| {
+            let mut c = cfg(DesignPoint::Baseline, mode);
+            if let Some(q) = quantum {
+                c.cpu.quantum_cycles = q;
+            }
+            run_transfer(&c, &spec)
+        };
+        let cs = run(TimingMode::CycleStepped);
+        let ed = run(TimingMode::EventDriven);
+        assert_transfer_bits_eq(&cs, &ed, label);
+    }
 }
 
 /// One randomized serving scenario: tenant mix, host-queue shape,
