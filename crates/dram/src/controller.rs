@@ -38,12 +38,174 @@ impl Default for ControllerConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// "No entry" in a [`BankQueue`]'s index links.
+const NIL: u32 = u32::MAX;
+
+/// A queued request and its links in its bank's arrival-order FIFO.
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     req: MemRequest,
+    /// Arrival order over the controller: FR-FCFS's "first come".
+    seq: u64,
     /// Set once the controller has issued an ACT or PRE on behalf of this
     /// request (row-hit/miss/conflict classification).
     needed_act: bool,
+    /// The bank's next older request, `NIL` at the head.
+    prev: u32,
+    /// The bank's next newer request, `NIL` at the tail; in a free slot,
+    /// the next free slot.
+    next: u32,
+}
+
+/// One bank's requests in a [`BankQueue`].
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// Oldest request, `NIL` if none.
+    head: u32,
+    /// Newest request, `NIL` if none.
+    tail: u32,
+    /// Oldest request to the bank's open row, `NIL` if the bank is
+    /// closed or no request wants that row.
+    hit: u32,
+}
+
+/// One request queue (the reads or the writes), bucketed by bank.
+///
+/// Requests live in a slab grown on demand up to the queue's capacity.
+/// Each bank threads its requests into a FIFO in arrival order through
+/// the slab's index links, and caches its oldest request to its open
+/// row, so a bank's FR-FCFS candidate — its oldest hit, else its oldest
+/// request — takes no walk to find. A bitset marks the banks with
+/// requests, and a scan visits only those.
+#[derive(Debug, Clone)]
+struct BankQueue {
+    slab: Vec<Pending>,
+    /// First free slab slot, linked through [`Pending::next`].
+    free: u32,
+    len: usize,
+    banks: Vec<Bucket>,
+    /// One bit per bank: set while the bank has requests.
+    active: Vec<u64>,
+}
+
+impl BankQueue {
+    fn new(banks: usize) -> Self {
+        let empty = Bucket {
+            head: NIL,
+            tail: NIL,
+            hit: NIL,
+        };
+        BankQueue {
+            slab: Vec::new(),
+            free: NIL,
+            len: 0,
+            banks: vec![empty; banks],
+            active: vec![0; banks.div_ceil(64)],
+        }
+    }
+
+    /// The banks with requests, in bank order.
+    fn active_banks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.active.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    b
+                })
+            })
+        })
+    }
+
+    /// Bank `b`'s FR-FCFS candidate: its oldest hit, else its oldest
+    /// request.
+    fn lead(&self, b: usize) -> &Pending {
+        let bucket = &self.banks[b];
+        let i = if bucket.hit != NIL {
+            bucket.hit
+        } else {
+            bucket.head
+        };
+        &self.slab[i as usize]
+    }
+
+    /// Append `req` to bank `b`'s FIFO; `hit` says whether it wants the
+    /// bank's open row.
+    fn push(&mut self, req: MemRequest, seq: u64, b: usize, hit: bool) {
+        let tail = self.banks[b].tail;
+        let p = Pending {
+            req,
+            seq,
+            needed_act: false,
+            prev: tail,
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            self.slab.push(p);
+            u32::try_from(self.slab.len() - 1).expect("queue capacity fits u32")
+        } else {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = p;
+            i
+        };
+        if tail == NIL {
+            self.banks[b].head = i;
+            self.active[b / 64] |= 1 << (b % 64);
+        } else {
+            self.slab[tail as usize].next = i;
+        }
+        let bucket = &mut self.banks[b];
+        bucket.tail = i;
+        if hit && bucket.hit == NIL {
+            bucket.hit = i;
+        }
+        self.len += 1;
+    }
+
+    /// Unlink and return bank `b`'s oldest hit.
+    fn take_hit(&mut self, b: usize) -> Pending {
+        let i = self.banks[b].hit;
+        let p = self.slab[i as usize];
+        if p.prev == NIL {
+            self.banks[b].head = p.next;
+        } else {
+            self.slab[p.prev as usize].next = p.next;
+        }
+        if p.next == NIL {
+            self.banks[b].tail = p.prev;
+        } else {
+            self.slab[p.next as usize].prev = p.prev;
+        }
+        // Every newer hit sits behind this one.
+        self.banks[b].hit = self.first_to_row(p.next, p.req.addr.row);
+        self.slab[i as usize].next = self.free;
+        self.free = i;
+        self.len -= 1;
+        if self.banks[b].head == NIL {
+            self.active[b / 64] &= !(1 << (b % 64));
+        }
+        p
+    }
+
+    /// The first request to `row` from slot `i` on in its bank's FIFO.
+    fn first_to_row(&self, mut i: u32, row: u64) -> u32 {
+        while i != NIL && self.slab[i as usize].req.addr.row != row {
+            i = self.slab[i as usize].next;
+        }
+        i
+    }
+
+    /// Bank `b` opened `row`.
+    fn opened(&mut self, b: usize, row: u64) {
+        self.banks[b].hit = self.first_to_row(self.banks[b].head, row);
+    }
+
+    /// Bank `b` closed.
+    fn closed(&mut self, b: usize) {
+        self.banks[b].hit = NIL;
+    }
 }
 
 /// A per-channel FR-FCFS memory controller over a [`ChannelState`].
@@ -56,14 +218,23 @@ struct Pending {
 /// The controller services reads first and drains writes in batches
 /// governed by watermarks, the standard technique to amortize bus
 /// turnaround. Refresh is per-rank with deadlines staggered across ranks;
-/// while a rank has a refresh due, no new activates are issued to it.
+/// while a rank has a refresh due, FR-FCFS issues no ACT or PRE to it (a
+/// ready row hit still reads or writes).
+///
+/// Each queue is bucketed by bank (an arrival-order FIFO per bank, and
+/// each bank's oldest request to its open row kept current on enqueue,
+/// column issue, ACT and PRE), so choosing a command and computing the
+/// horizon visit the banks with requests, one candidate each, rather
+/// than every queued request.
 #[derive(Debug, Clone)]
 pub struct MemController {
     state: ChannelState,
     cfg: ControllerConfig,
     clock: u64,
-    read_q: VecDeque<Pending>,
-    write_q: VecDeque<Pending>,
+    reads: BankQueue,
+    writes: BankQueue,
+    /// Arrival stamp of the next enqueued request.
+    next_seq: u64,
     draining: bool,
     read_returns: VecDeque<(u64, Completion)>,
     write_returns: VecDeque<(u64, Completion)>,
@@ -75,13 +246,6 @@ pub struct MemController {
     /// there keeps [`next_event_cycle`](Self::next_event_cycle) O(1) in
     /// the rank count on the hot idle-skip path.
     refresh_min: u64,
-    /// Scratch bitset for the queue scans of [`schedule`](Self::schedule)
-    /// and [`issue_horizon`](Self::issue_horizon), one bit per bank of
-    /// the channel: the banks a scan has already costed. Every request
-    /// to a costed bank needs the same command at the same cycle, and a
-    /// bank whose open row a queued hit wants is always costed, which
-    /// keeps a PRE off it.
-    costed: Vec<u64>,
     /// Memo of [`event_horizon`](Self::event_horizon), `None` when stale.
     /// Its inputs change only in [`tick`](Self::tick) and
     /// [`enqueue`](Self::enqueue), which clear it.
@@ -111,12 +275,14 @@ impl MemController {
             state.rank_mut(r).refresh_deadline = dl;
             refresh_min = refresh_min.min(dl);
         }
+        let banks = org.banks_per_channel() as usize;
         MemController {
             state,
             cfg,
             clock: 0,
-            read_q: VecDeque::new(),
-            write_q: VecDeque::new(),
+            reads: BankQueue::new(banks),
+            writes: BankQueue::new(banks),
+            next_seq: 0,
             draining: false,
             read_returns: VecDeque::new(),
             write_returns: VecDeque::new(),
@@ -124,7 +290,6 @@ impl MemController {
             stats: ChannelStats::default(),
             command_log: None,
             refresh_min,
-            costed: vec![0; org.banks_per_channel().div_ceil(64) as usize],
             horizon: None,
         }
     }
@@ -140,17 +305,32 @@ impl MemController {
         self.command_log.as_deref()
     }
 
+    /// Issue `cmd` to the channel, and keep both queues' open-row hits
+    /// current across an ACT or PRE.
     fn issue_cmd(&mut self, cmd: Command, addr: &DramAddr, now: u64) {
         self.state.issue(cmd, addr, now);
-        if cmd == Command::Ref {
-            // The refreshed rank's deadline just advanced by tREFI;
-            // re-derive the cached minimum. REFs are rare (µs apart), so
-            // this walk is off the hot path.
-            let mut min = u64::MAX;
-            for r in 0..self.state.organization().ranks {
-                min = min.min(self.state.rank(r).refresh_deadline);
+        match cmd {
+            Command::Act => {
+                let b = bank_index(self.state.organization(), addr);
+                self.reads.opened(b, addr.row);
+                self.writes.opened(b, addr.row);
             }
-            self.refresh_min = min;
+            Command::Pre => {
+                let b = bank_index(self.state.organization(), addr);
+                self.reads.closed(b);
+                self.writes.closed(b);
+            }
+            Command::Ref => {
+                // The refreshed rank's deadline just advanced by tREFI;
+                // re-derive the cached minimum. REFs are rare (µs apart),
+                // so this walk is off the hot path.
+                let mut min = u64::MAX;
+                for r in 0..self.state.organization().ranks {
+                    min = min.min(self.state.rank(r).refresh_deadline);
+                }
+                self.refresh_min = min;
+            }
+            Command::Rd | Command::Wr => {}
         }
         if let Some(log) = &mut self.command_log {
             log.push(IssuedCmd {
@@ -226,7 +406,7 @@ impl MemController {
     /// The uncached horizon behind
     /// [`next_event_cycle`](Self::next_event_cycle), `u64::MAX` for none.
     /// Any value at or before `clock` means "now".
-    fn event_horizon(&mut self) -> u64 {
+    fn event_horizon(&self) -> u64 {
         let mut h = u64::MAX;
         // Returns are pushed in issue order with uniform latency per
         // kind, so each deque's front is its earliest due time.
@@ -247,46 +427,16 @@ impl MemController {
 
     /// `bound` lowered to the first cycle at which
     /// [`schedule`](Self::schedule) would issue a command if the channel
-    /// and queues stayed as they are. Before `bound` no refresh is due,
-    /// so no rank blocks an ACT or PRE.
-    fn issue_horizon(&mut self, bound: u64) -> u64 {
-        let (q, col_cmd) = if self.next_draining() {
-            (&self.write_q, Command::Wr)
-        } else {
-            (&self.read_q, Command::Rd)
-        };
-        let org = *self.state.organization();
+    /// and queues stayed as they are: the earliest next command over the
+    /// selected queue's bank candidates. Before `bound` no refresh is
+    /// due, so no rank blocks an ACT or PRE.
+    fn issue_horizon(&self, bound: u64) -> u64 {
+        let (q, col) = self.queue(self.next_draining());
         let mut h = bound;
-        let mut conflicts = false;
-        self.costed.fill(0);
-        for p in q {
-            let a = &p.req.addr;
-            let b = bank_index(&org, a);
-            if is_set(&self.costed, b) {
-                continue;
-            }
-            let (cmd, t) = self.state.next_command(col_cmd, a);
-            if cmd == Command::Pre {
-                conflicts = true;
-                continue;
-            }
-            set(&mut self.costed, b);
-            h = h.min(t);
+        for b in q.active_banks() {
+            h = h.min(self.state.next_command(col, &q.lead(b).req.addr).1);
             if h <= self.clock {
-                return h;
-            }
-        }
-        // A PRE counts only for a bank whose open row no queued hit
-        // wants, which needs the whole queue's hits first. Such a bank is
-        // still uncosted.
-        if conflicts {
-            for p in q {
-                let a = &p.req.addr;
-                let b = bank_index(&org, a);
-                if !is_set(&self.costed, b) {
-                    set(&mut self.costed, b);
-                    h = h.min(self.state.next_command(col_cmd, a).1);
-                }
+                break;
             }
         }
         h
@@ -305,22 +455,22 @@ impl MemController {
         }
         self.clock += cycles;
         self.stats.elapsed_cycles += cycles;
-        self.stats.read_q_occupancy_sum += self.read_q.len() as u64 * cycles;
-        self.stats.write_q_occupancy_sum += self.write_q.len() as u64 * cycles;
+        self.stats.read_q_occupancy_sum += self.reads.len as u64 * cycles;
+        self.stats.write_q_occupancy_sum += self.writes.len as u64 * cycles;
         self.update_drain_mode();
     }
 
     /// Whether a request of `kind` can currently be accepted.
     pub fn can_accept(&self, kind: AccessKind) -> bool {
         match kind {
-            AccessKind::Read => self.read_q.len() < self.cfg.read_q_cap,
-            AccessKind::Write => self.write_q.len() < self.cfg.write_q_cap,
+            AccessKind::Read => self.reads.len < self.cfg.read_q_cap,
+            AccessKind::Write => self.writes.len < self.cfg.write_q_cap,
         }
     }
 
     /// Number of requests in flight (queued or awaiting data return).
     pub fn inflight(&self) -> usize {
-        self.read_q.len() + self.write_q.len() + self.read_returns.len() + self.write_returns.len()
+        self.reads.len + self.writes.len + self.read_returns.len() + self.write_returns.len()
     }
 
     /// Whether all queues and in-flight buffers are empty.
@@ -339,21 +489,23 @@ impl MemController {
         if !self.can_accept(req.kind) {
             return Err(req);
         }
-        let p = Pending {
-            req,
-            needed_act: false,
+        let b = bank_index(self.state.organization(), &req.addr);
+        let hit = self.state.open_row(&req.addr) == Some(req.addr.row);
+        let q = match req.kind {
+            AccessKind::Read => &mut self.reads,
+            AccessKind::Write => &mut self.writes,
         };
-        match req.kind {
-            AccessKind::Read => self.read_q.push_back(p),
-            AccessKind::Write => self.write_q.push_back(p),
-        }
+        q.push(req, self.next_seq, b, hit);
+        self.next_seq += 1;
         self.horizon = None;
         Ok(())
     }
 
-    /// Take all completions produced since the last call.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Take all completions produced since the last call. The buffer
+    /// keeps its capacity, so draining a steady stream of completions
+    /// allocates nothing.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
     }
 
     /// Advance one memory-clock cycle: retire returning data, service
@@ -361,8 +513,8 @@ impl MemController {
     pub fn tick(&mut self) {
         let now = self.clock;
         self.stats.elapsed_cycles += 1;
-        self.stats.read_q_occupancy_sum += self.read_q.len() as u64;
-        self.stats.write_q_occupancy_sum += self.write_q.len() as u64;
+        self.stats.read_q_occupancy_sum += self.reads.len as u64;
+        self.stats.write_q_occupancy_sum += self.writes.len as u64;
 
         while let Some(&(t, c)) = self.read_returns.front() {
             if t > now {
@@ -444,7 +596,7 @@ impl MemController {
     /// selects. With `write_lo_watermark < write_hi_watermark` it is a
     /// fixed point: a second update with the same queues keeps it.
     fn next_draining(&self) -> bool {
-        let (reads, writes) = (self.read_q.len(), self.write_q.len());
+        let (reads, writes) = (self.reads.len, self.writes.len);
         if self.draining {
             !(writes == 0 || (writes <= self.cfg.write_lo_watermark && reads > 0))
         } else {
@@ -452,67 +604,37 @@ impl MemController {
         }
     }
 
-    /// FR-FCFS over the queue the drain mode selects: the oldest row hit
-    /// that can issue now; else an ACT for the oldest request whose bank is
-    /// closed; else a PRE for the oldest request blocked by another open
-    /// row, unless a queued request still wants that row. The other queue
-    /// waits even when this one cannot issue: one queue per cycle keeps
-    /// the model simple and matches a single command bus.
+    /// The queue a drain mode selects, and its column command.
+    fn queue(&self, draining: bool) -> (&BankQueue, Command) {
+        if draining {
+            (&self.writes, Command::Wr)
+        } else {
+            (&self.reads, Command::Rd)
+        }
+    }
+
+    /// FR-FCFS over the queue the drain mode selects (see
+    /// [`pick`](Self::pick)). The other queue waits even when this one
+    /// cannot issue: one queue per cycle keeps the model simple and
+    /// matches a single command bus.
     fn schedule(&mut self, now: u64) {
         self.update_drain_mode();
-        let (kind, col_cmd) = if self.draining {
-            (AccessKind::Write, Command::Wr)
+        let Some((cmd, b)) = self.pick(now, self.draining) else {
+            return;
+        };
+        let q = if self.draining {
+            &mut self.writes
         } else {
-            (AccessKind::Read, Command::Rd)
+            &mut self.reads
         };
-        let q = match kind {
-            AccessKind::Read => &self.read_q,
-            AccessKind::Write => &self.write_q,
-        };
-        if q.is_empty() {
+        if matches!(cmd, Command::Rd | Command::Wr) {
+            let p = q.take_hit(b);
+            self.issue_column(now, cmd, p);
             return;
         }
-
-        // One pass finds the first ready hit. On the way it notes the
-        // first request that may activate its closed bank, and costs
-        // each bank once.
-        let org = *self.state.organization();
-        self.costed.fill(0);
-        let mut act = None;
-        for (i, p) in q.iter().enumerate() {
-            let a = &p.req.addr;
-            let b = bank_index(&org, a);
-            if is_set(&self.costed, b) {
-                continue;
-            }
-            let (cmd, t) = self.state.next_command(col_cmd, a);
-            if cmd == col_cmd && t <= now {
-                let p = self.queue_mut(kind).remove(i).expect("index in range");
-                self.issue_column(now, col_cmd, p);
-                return;
-            }
-            if cmd == Command::Act && act.is_none() && t <= now && !self.refresh_due(a.rank) {
-                act = Some(i);
-            }
-            if cmd != Command::Pre {
-                set(&mut self.costed, b);
-            }
-        }
-
-        let (cmd, i) = if let Some(i) = act {
-            (Command::Act, i)
-        } else {
-            // An uncosted bank is open with no hit queued for its row.
-            let pre = q.iter().position(|p| {
-                let a = &p.req.addr;
-                !is_set(&self.costed, bank_index(&org, a))
-                    && !self.refresh_due(a.rank)
-                    && self.state.next_command(col_cmd, a).1 <= now
-            });
-            let Some(i) = pre else { return };
-            (Command::Pre, i)
-        };
-        let addr = q[i].req.addr;
+        let head = q.banks[b].head as usize;
+        q.slab[head].needed_act = true;
+        let addr = q.slab[head].req.addr;
         self.issue_cmd(cmd, &addr, now);
         if cmd == Command::Act {
             self.stats.activates += 1;
@@ -520,14 +642,48 @@ impl MemController {
             self.stats.precharges += 1;
             self.stats.row_conflicts += 1;
         }
-        self.queue_mut(kind)[i].needed_act = true;
     }
 
-    fn queue_mut(&mut self, kind: AccessKind) -> &mut VecDeque<Pending> {
-        match kind {
-            AccessKind::Read => &mut self.read_q,
-            AccessKind::Write => &mut self.write_q,
+    /// FR-FCFS's command at `now` from the queue `draining` selects, and
+    /// the bank it goes to: the oldest row hit that can issue; else an
+    /// ACT for the oldest request whose bank is closed; else a PRE for
+    /// the oldest request blocked by another open row that no queued
+    /// request of the queue wants. ACT and PRE skip a rank with a
+    /// refresh due. Each bank offers one candidate, its oldest hit or
+    /// else its oldest request, and "oldest" compares arrival stamps.
+    fn pick(&self, now: u64, draining: bool) -> Option<(Command, usize)> {
+        let (q, col) = self.queue(draining);
+        // (arrival stamp, bank) of the best candidate per command kind.
+        let mut hit = (u64::MAX, 0);
+        let mut act = (u64::MAX, 0);
+        let mut pre = (u64::MAX, 0);
+        for b in q.active_banks() {
+            let p = q.lead(b);
+            if q.banks[b].hit != NIL {
+                if p.seq < hit.0 && self.state.earliest(col, &p.req.addr) <= now {
+                    hit = (p.seq, b);
+                }
+                continue;
+            }
+            // A ready hit beats every ACT and PRE, and an ACT every PRE.
+            if hit.0 != u64::MAX || p.seq > act.0 {
+                continue;
+            }
+            let (cmd, t) = self.state.next_command(col, &p.req.addr);
+            debug_assert_ne!(cmd, col, "stale open-row hit in bank {b}");
+            if t > now || self.refresh_due(p.req.addr.rank) {
+                continue;
+            }
+            if cmd == Command::Act {
+                act = (p.seq, b);
+            } else if p.seq < pre.0 {
+                pre = (p.seq, b);
+            }
         }
+        [(col, hit), (Command::Act, act), (Command::Pre, pre)]
+            .into_iter()
+            .find(|&(_, (seq, _))| seq != u64::MAX)
+            .map(|(cmd, (_, b))| (cmd, b))
     }
 
     fn issue_column(&mut self, now: u64, cmd: Command, p: Pending) {
@@ -569,18 +725,11 @@ fn bank_index(org: &Organization, addr: &DramAddr) -> usize {
     ((addr.rank * org.bank_groups + addr.bank_group) * org.banks + addr.bank) as usize
 }
 
-fn is_set(bits: &[u64], i: usize) -> bool {
-    bits[i / 64] & (1 << (i % 64)) != 0
-}
-
-fn set(bits: &mut [u64], i: usize) {
-    bits[i / 64] |= 1 << (i % 64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pim_mapping::{LocalityCentric, MapFn, MlpCentric, PhysAddr};
+    use proptest::prelude::*;
 
     fn run_stream(
         org: Organization,
@@ -688,7 +837,7 @@ mod tests {
         let mut completion = None;
         for _ in 0..200 {
             ctrl.tick();
-            if let Some(c) = ctrl.drain_completions().pop() {
+            if let Some(c) = ctrl.drain_completions().next() {
                 completion = Some(c);
                 break;
             }
@@ -716,13 +865,13 @@ mod tests {
         for _ in 0..100 {
             ctrl.tick();
         }
-        ctrl.drain_completions();
+        ctrl.drain_completions().for_each(drop);
         ctrl.enqueue(MemRequest::read(1, PhysAddr(64), b, Default::default()))
             .unwrap();
         let mut done = false;
         for _ in 0..200 {
             ctrl.tick();
-            if !ctrl.drain_completions().is_empty() {
+            if ctrl.drain_completions().next().is_some() {
                 done = true;
                 break;
             }
@@ -812,7 +961,7 @@ mod tests {
             let req = MemRequest::write(col.into(), PhysAddr(0), at(col), Default::default());
             ticked.enqueue(req).unwrap();
         }
-        while !ticked.read_q.is_empty() {
+        while ticked.reads.len > 0 {
             ticked.tick();
         }
         let mut sleeper = ticked.clone();
@@ -835,5 +984,317 @@ mod tests {
         let log = ticked.command_log().unwrap();
         let first = log.iter().find(|c| c.cycle >= arrival).unwrap();
         assert_eq!((first.cmd, first.cycle), (Command::Wr, wake));
+    }
+
+    /// A controller with refresh off, so a test controls every command.
+    fn no_refresh(org: Organization) -> MemController {
+        let cfg = ControllerConfig {
+            refresh: false,
+            ..ControllerConfig::default()
+        };
+        MemController::with_config(org, TimingParams::ddr4_2400(), cfg)
+    }
+
+    fn at(rank: u32, bank_group: u32, bank: u32, row: u64) -> DramAddr {
+        DramAddr {
+            rank,
+            bank_group,
+            bank,
+            row,
+            ..DramAddr::default()
+        }
+    }
+
+    fn read(id: u64, a: DramAddr) -> MemRequest {
+        MemRequest::read(id, PhysAddr(0), a, Default::default())
+    }
+
+    fn write(id: u64, a: DramAddr) -> MemRequest {
+        MemRequest::write(id, PhysAddr(0), a, Default::default())
+    }
+
+    #[test]
+    fn a_hit_behind_an_older_conflict_in_its_bank_issues_first() {
+        // Banks 0 and 1 of group 0 are open at row 0, past tRCD. Bank 1
+        // holds the oldest read, to row 1, and behind it a read to row 0;
+        // bank 0 holds the newest read, to row 0. The first command reads
+        // bank 1's hit: it is the oldest hit, though an older conflict
+        // waits in its bank and bank 0 comes first in bank order.
+        let mut ctrl = no_refresh(Organization::ddr4_dimm(1, 1));
+        let t = *ctrl.timing();
+        let (b0, b1) = (at(0, 0, 0, 0), at(0, 0, 1, 0));
+        ctrl.state.issue(Command::Act, &b1, 0);
+        ctrl.state.issue(Command::Act, &b0, t.rrd_l);
+        ctrl.clock = t.rrd_l + t.rcd;
+        ctrl.enqueue(read(0, at(0, 0, 1, 1))).unwrap();
+        ctrl.enqueue(read(1, b1)).unwrap();
+        ctrl.enqueue(read(2, b0)).unwrap();
+        ctrl.enable_command_log();
+        ctrl.tick();
+        let log = ctrl.command_log().unwrap();
+        assert_eq!(log.len(), 1);
+        assert_eq!((log[0].cmd, log[0].addr), (Command::Rd, b1));
+        let queued: Vec<u64> = arrival_order(&ctrl.reads)
+            .iter()
+            .map(|p| p.req.id)
+            .collect();
+        assert_eq!(queued, [0, 2]);
+    }
+
+    #[test]
+    fn a_hit_waiting_only_in_the_other_queue_does_not_protect_its_row() {
+        // Bank (0, 0, 0) is open at row 0. Two writes want rows 0 and 1,
+        // then a read wants row 1. Two writes are below the drain
+        // watermark, so the read queue alone decides: it precharges the
+        // bank as soon as tRAS allows, though a write wants the open row.
+        // Its ACT of row 1 makes the write to row 1 the write queue's hit,
+        // so once the read is out, that write goes before the older one.
+        let mut ctrl = no_refresh(Organization::ddr4_dimm(1, 1));
+        let t = *ctrl.timing();
+        ctrl.state.issue(Command::Act, &at(0, 0, 0, 0), 0);
+        ctrl.clock = 1;
+        ctrl.enqueue(write(0, at(0, 0, 0, 0))).unwrap();
+        ctrl.enqueue(write(1, at(0, 0, 0, 1))).unwrap();
+        ctrl.enqueue(read(2, at(0, 0, 0, 1))).unwrap();
+        ctrl.enable_command_log();
+        while !ctrl.idle() {
+            ctrl.tick();
+        }
+        let log = ctrl.command_log().unwrap();
+        assert_eq!((log[0].cmd, log[0].cycle), (Command::Pre, t.ras));
+        let (pre, act, rd, wr) = (Command::Pre, Command::Act, Command::Rd, Command::Wr);
+        let rows: Vec<(Command, u64)> = log.iter().map(|c| (c.cmd, c.addr.row)).collect();
+        assert_eq!(
+            rows,
+            [
+                (pre, 1),
+                (act, 1),
+                (rd, 1),
+                (wr, 1),
+                (pre, 0),
+                (act, 0),
+                (wr, 0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_refresh_due_rank_blocks_act_and_pre_but_not_a_ready_hit() {
+        // Both ranks are past their refresh deadlines. Rank 1 holds an ACT
+        // candidate and a PRE candidate, both legal now; rank 0 holds a
+        // ready hit.
+        let org = Organization::ddr4_dimm(1, 2);
+        let mut ctrl = MemController::new(org, TimingParams::ddr4_2400());
+        let t = *ctrl.timing();
+        let (hit, conflict) = (at(0, 0, 0, 0), at(1, 1, 0, 0));
+        ctrl.state.issue(Command::Act, &hit, 0);
+        ctrl.state.issue(Command::Act, &conflict, t.rrd_s);
+        ctrl.clock = t.refi + t.ras + t.rrd_s;
+        assert!(ctrl.refresh_due(0) && ctrl.refresh_due(1));
+        ctrl.enqueue(read(0, at(1, 0, 0, 3))).unwrap();
+        ctrl.enqueue(read(1, at(1, 1, 0, 4))).unwrap();
+        let now = ctrl.clock;
+        assert_eq!(ctrl.pick(now, false), None, "refresh blocks ACT and PRE");
+        ctrl.enqueue(read(2, hit)).unwrap();
+        assert_eq!(ctrl.pick(now, false), Some((Command::Rd, 0)));
+        // With no refresh due and the hit gone, the oldest request's ACT
+        // goes first.
+        ctrl.cfg.refresh = false;
+        ctrl.reads.take_hit(0);
+        let b = bank_index(&org, &at(1, 0, 0, 3));
+        assert_eq!(ctrl.pick(now, false), Some((Command::Act, b)));
+    }
+
+    /// A queue's requests flattened back into arrival order.
+    fn arrival_order(q: &BankQueue) -> Vec<Pending> {
+        let mut all = Vec::new();
+        for b in q.active_banks() {
+            let mut i = q.banks[b].head;
+            while i != NIL {
+                all.push(q.slab[i as usize]);
+                i = q.slab[i as usize].next;
+            }
+        }
+        all.sort_by_key(|p| p.seq);
+        all
+    }
+
+    /// The request a [`MemController::pick`] result targets.
+    fn target(q: &BankQueue, cmd: Command, b: usize) -> u64 {
+        let i = match cmd {
+            Command::Rd | Command::Wr => q.banks[b].hit,
+            _ => q.banks[b].head,
+        };
+        q.slab[i as usize].seq
+    }
+
+    fn bit(bits: &[u64], i: usize) -> bool {
+        bits[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The one-scan FR-FCFS pick over a queue in arrival order: the
+    /// first ready hit; else the first ready ACT to a rank with no
+    /// refresh due; else the first ready PRE to such a rank, in a bank
+    /// no request of the queue hits. Returns the command and its
+    /// target's arrival stamp.
+    fn oracle_pick(
+        ctrl: &MemController,
+        q: &[Pending],
+        col: Command,
+        now: u64,
+    ) -> Option<(Command, u64)> {
+        let org = *ctrl.state.organization();
+        let mut costed = vec![0u64; org.banks_per_channel().div_ceil(64) as usize];
+        let mut act = None;
+        for p in q {
+            let a = &p.req.addr;
+            let b = bank_index(&org, a);
+            if bit(&costed, b) {
+                continue;
+            }
+            let (cmd, t) = ctrl.state.next_command(col, a);
+            if cmd == col && t <= now {
+                return Some((col, p.seq));
+            }
+            if cmd == Command::Act && act.is_none() && t <= now && !ctrl.refresh_due(a.rank) {
+                act = Some((Command::Act, p.seq));
+            }
+            if cmd != Command::Pre {
+                costed[b / 64] |= 1 << (b % 64);
+            }
+        }
+        act.or_else(|| {
+            q.iter()
+                .find(|p| {
+                    let a = &p.req.addr;
+                    !bit(&costed, bank_index(&org, a))
+                        && !ctrl.refresh_due(a.rank)
+                        && ctrl.state.next_command(col, a).1 <= now
+                })
+                .map(|p| (Command::Pre, p.seq))
+        })
+    }
+
+    /// The one-scan horizon over a queue in arrival order: the earliest
+    /// next command of each bank's first hit or ACT, and of the first
+    /// request of each bank that needs a PRE and that no request hits.
+    fn oracle_horizon(ctrl: &MemController, q: &[Pending], col: Command, bound: u64) -> u64 {
+        let org = *ctrl.state.organization();
+        let mut costed = vec![0u64; org.banks_per_channel().div_ceil(64) as usize];
+        let mut h = bound;
+        for p in q {
+            let b = bank_index(&org, &p.req.addr);
+            let (cmd, t) = ctrl.state.next_command(col, &p.req.addr);
+            if !bit(&costed, b) && cmd != Command::Pre {
+                costed[b / 64] |= 1 << (b % 64);
+                h = h.min(t);
+            }
+        }
+        for p in q {
+            let b = bank_index(&org, &p.req.addr);
+            if !bit(&costed, b) {
+                costed[b / 64] |= 1 << (b % 64);
+                h = h.min(ctrl.state.next_command(col, &p.req.addr).1);
+            }
+        }
+        h
+    }
+
+    /// An arrival gap (mostly bursts, some pauses, rare idle stretches
+    /// that cross refresh deadlines), a kind, and an address in a few
+    /// banks and rows of `org`'s channel, so banks fill with row
+    /// conflicts.
+    fn arb_arrival(org: Organization) -> impl Strategy<Value = (u64, MemRequest)> {
+        (
+            (0u32..32, 0u64..6000).prop_map(|(pick, n)| match pick {
+                0 => n,
+                1..=10 => n % 30,
+                _ => 0,
+            }),
+            0u32..3,
+            0..org.ranks,
+            0..org.bank_groups.min(2),
+            0..org.banks.min(3),
+            0u64..4,
+        )
+            .prop_map(|(gap, kind, rank, bank_group, bank, row)| {
+                let a = at(rank, bank_group, bank, row);
+                // Two reads per write, so the write queue crosses the
+                // drain watermarks both ways.
+                let req = if kind == 0 { write(0, a) } else { read(0, a) };
+                (gap, req)
+            })
+    }
+
+    fn arb_case(
+        org: Organization,
+        timing: TimingParams,
+    ) -> impl Strategy<Value = (Organization, TimingParams, Vec<(u64, MemRequest)>)> {
+        (
+            Just(org),
+            Just(timing),
+            proptest::collection::vec(arb_arrival(org), 1..160),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn bank_buckets_pick_what_the_arrival_order_scan_picks(
+            case in prop_oneof![
+                arb_case(Organization::ddr4_dimm(1, 2), TimingParams::ddr4_2400()),
+                arb_case(Organization::upmem_dimm(1, 2), TimingParams::upmem_2400()),
+            ],
+            refresh in any::<bool>(),
+            small_queues in any::<bool>(),
+        ) {
+            let (org, timing, draws) = case;
+            let mut cfg = ControllerConfig { refresh, ..ControllerConfig::default() };
+            if small_queues {
+                // Shallow queues flip the drain mode every few requests.
+                cfg = ControllerConfig {
+                    read_q_cap: 8,
+                    write_q_cap: 8,
+                    write_hi_watermark: 6,
+                    write_lo_watermark: 2,
+                    ..cfg
+                };
+            }
+            let mut ctrl = MemController::with_config(org, timing, cfg);
+            let mut pending: VecDeque<(u64, MemRequest)> = VecDeque::new();
+            let mut due = 0;
+            for (i, (gap, mut req)) in draws.into_iter().enumerate() {
+                due += gap;
+                req.id = i as u64;
+                pending.push_back((due, req));
+            }
+            let mut picks = 0u64;
+            while !(pending.is_empty() && ctrl.idle()) {
+                let now = ctrl.clock;
+                while let Some(&(at, req)) = pending.front() {
+                    if at > now || ctrl.enqueue(req).is_err() {
+                        break;
+                    }
+                    pending.pop_front();
+                }
+                let draining = ctrl.next_draining();
+                let (q, col) = ctrl.queue(draining);
+                let flat = arrival_order(q);
+                prop_assert_eq!(flat.len(), q.len);
+                let got = ctrl.pick(now, draining).map(|(cmd, b)| (cmd, target(q, cmd, b)));
+                prop_assert_eq!(got, oracle_pick(&ctrl, &flat, col, now), "pick at cycle {}", now);
+                picks += u64::from(got.is_some());
+                prop_assert_eq!(
+                    ctrl.issue_horizon(u64::MAX).max(now),
+                    oracle_horizon(&ctrl, &flat, col, u64::MAX).max(now),
+                    "horizon at cycle {}", now
+                );
+                ctrl.tick();
+                ctrl.drain_completions().for_each(drop);
+                prop_assert!(now < 2_000_000, "traffic did not drain");
+            }
+            prop_assert!(picks > 0);
+        }
     }
 }

@@ -44,7 +44,7 @@ fn run_ticked(mut ctrl: MemController, arrivals: &[Arrival], end: u64) -> Run {
         let now = ctrl.clock();
         feed(&mut ctrl, &mut pending, now);
         ctrl.tick();
-        done.extend(ctrl.drain_completions().into_iter().map(|c| (now, c)));
+        done.extend(ctrl.drain_completions().map(|c| (now, c)));
     }
     (done, ctrl, end)
 }
@@ -74,7 +74,7 @@ fn run_sleeping(mut ctrl: MemController, arrivals: &[Arrival], end: u64) -> Run 
         }
         ctrl.tick();
         ticks += 1;
-        done.extend(ctrl.drain_completions().into_iter().map(|c| (now, c)));
+        done.extend(ctrl.drain_completions().map(|c| (now, c)));
     }
     (done, ctrl, ticks)
 }

@@ -76,6 +76,13 @@ pub struct System {
     /// Host wall nanoseconds per domain slot (empty until profiling is
     /// enabled; grown on demand so late credit never panics).
     wall_ns: Vec<u64>,
+    /// Wall nanoseconds that timers nested inside the running phase
+    /// credited to other domains; the phase's own credit leaves them out.
+    nested_ns: u64,
+    /// The ticking controller group's completions on their way to their
+    /// issuers, kept between ticks so that routing them allocates
+    /// nothing.
+    done: Vec<Completion>,
     /// Shadow checker for scheduler invariants (pure reads: simulated
     /// state is bit-identical with the feature on or off).
     #[cfg(feature = "sanitize")]
@@ -124,6 +131,12 @@ pub struct DomainProfile {
     /// unless self-profiling is enabled (and for composer-owned domains
     /// the composer never credited).
     pub wall_ns: u64,
+}
+
+/// Host wall nanoseconds since `t0`, saturating (a phase cannot
+/// plausibly exceed u64 wall ns).
+fn elapsed_ns(t0: std::time::Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl System {
@@ -175,6 +188,8 @@ impl System {
             power_samples: Vec::new(),
             profile: false,
             wall_ns: Vec::new(),
+            nested_ns: 0,
+            done: Vec::new(),
             #[cfg(feature = "sanitize")]
             sanitizer: crate::sanitize::Sanitizer::default(),
             cfg,
@@ -465,7 +480,9 @@ impl System {
         let t = self.t;
         let cluster_full = self.cluster.outbox_full();
         if cluster_full {
+            let t0 = self.phase_timer();
             self.sync_cluster_through(t);
+            self.nested_credit(self.domains.cpu, t0);
         }
         Self::drain_requests(
             self.cluster.outbox_mut(),
@@ -477,15 +494,20 @@ impl System {
             ticked,
         );
         if cluster_full && !self.cluster.outbox_full() {
+            let t0 = self.phase_timer();
             self.wake_cluster();
+            self.nested_credit(self.domains.cpu, t0);
         }
-        for (dce, &dom) in self.engines.iter_mut().zip(&self.domains.dce) {
-            let was_full = dce.outbox_full();
+        for s in 0..self.engines.len() {
+            let dom = self.domains.dce[s];
+            let was_full = self.engines[s].outbox_full();
             if was_full {
-                Self::catch_up_engine(dce, self.clocks.edges_through(dom, t));
+                let t0 = self.phase_timer();
+                Self::catch_up_engine(&mut self.engines[s], self.clocks.edges_through(dom, t));
+                self.nested_credit(dom, t0);
             }
             Self::drain_requests(
-                dce.outbox_mut(),
+                self.engines[s].outbox_mut(),
                 &mut self.dram,
                 &mut self.pim,
                 &mut self.clocks,
@@ -493,8 +515,12 @@ impl System {
                 t,
                 ticked,
             );
-            if was_full && !dce.outbox_full() && dce.next_event_cycle().is_some() {
-                self.clocks.wake_at(dom, t + 1);
+            if was_full && !self.engines[s].outbox_full() {
+                let t0 = self.phase_timer();
+                if self.engines[s].next_event_cycle().is_some() {
+                    self.clocks.wake_at(dom, t + 1);
+                }
+                self.nested_credit(dom, t0);
             }
         }
     }
@@ -522,7 +548,7 @@ impl System {
             MemSpace::Dram => &mut self.dram,
             MemSpace::Pim => &mut self.pim,
         };
-        let mut done: Vec<Completion> = Vec::new();
+        let mut done = std::mem::take(&mut self.done);
         for c in ctrls.iter_mut() {
             let deficit = target.saturating_sub(c.clock());
             if deficit > 0 {
@@ -537,12 +563,17 @@ impl System {
         }
         let t = self.t;
         let mut to_cluster = false;
-        for c in done {
+        // Delivering a completion is its receiver's work: the self-profile
+        // times each run of deliveries to one receiver once and credits it
+        // to the receiver's domain, not the controllers'.
+        let mut run = None;
+        for c in done.drain(..) {
             // Engine traffic is tagged DCE_SOURCE + shard: route the
             // completion back to the shard that issued the request.
             let shard = c.source.0.wrapping_sub(DCE_SOURCE) as usize;
             if c.source.0 >= DCE_SOURCE && shard < self.engines.len() {
                 let dom = self.domains.dce[shard];
+                self.nested_run(&mut run, dom);
                 let dce = &mut self.engines[shard];
                 Self::catch_up_engine(dce, self.clocks.edges_through(dom, t));
                 dce.on_completion(c);
@@ -550,6 +581,7 @@ impl System {
                     self.clocks.wake_at(dom, t + 1);
                 }
             } else {
+                self.nested_run(&mut run, self.domains.cpu);
                 if !to_cluster {
                     self.sync_cluster_through(t);
                     to_cluster = true;
@@ -558,8 +590,13 @@ impl System {
             }
         }
         if to_cluster {
+            self.nested_run(&mut run, self.domains.cpu);
             self.wake_cluster();
         }
+        if let Some((d, t0)) = run {
+            self.nested_credit(d, t0);
+        }
+        self.done = done;
     }
 
     /// Start a phase timer iff the self-profile is armed.
@@ -568,15 +605,46 @@ impl System {
         self.profile.then(std::time::Instant::now)
     }
 
-    /// Fold a finished phase timer into domain `d`'s wall-time bucket.
+    /// Fold a finished phase timer into domain `d`'s wall-time bucket,
+    /// less the time that timers nested inside the phase credited to
+    /// other domains.
     #[inline]
     fn phase_credit(&mut self, d: DomainId, t0: Option<std::time::Instant>) {
         if let Some(t0) = t0 {
-            // Saturating: a phase cannot plausibly exceed u64 wall ns.
-            self.credit_domain_wall_ns(
-                d,
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            let nested = std::mem::take(&mut self.nested_ns);
+            self.credit_domain_wall_ns(d, elapsed_ns(t0).saturating_sub(nested));
+        }
+    }
+
+    /// Point `run`, a nested timer, at domain `d`'s work: a run timing
+    /// another domain is credited to it and a new one starts.
+    #[inline]
+    fn nested_run(
+        &mut self,
+        run: &mut Option<(DomainId, Option<std::time::Instant>)>,
+        d: DomainId,
+    ) {
+        match *run {
+            Some((cur, _)) if cur == d => {}
+            prev => {
+                if let Some((cur, t0)) = prev {
+                    self.nested_credit(cur, t0);
+                }
+                *run = Some((d, self.phase_timer()));
+            }
+        }
+    }
+
+    /// Fold a timer nested inside a running phase into domain `d`'s
+    /// bucket, and hold its time back from the enclosing phase's credit:
+    /// the controller phases deliver completions to, and catch up, the
+    /// cluster and the engines, whose work that is.
+    #[inline]
+    fn nested_credit(&mut self, d: DomainId, t0: Option<std::time::Instant>) {
+        if let Some(t0) = t0 {
+            let ns = elapsed_ns(t0);
+            self.nested_ns += ns;
+            self.credit_domain_wall_ns(d, ns);
         }
     }
 
