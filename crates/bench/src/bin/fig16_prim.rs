@@ -15,7 +15,7 @@ use pim_bench::{cfg, geomean, HarnessArgs};
 use pim_mmu::XferKind;
 use pim_sim::{run_batch, BatchPoint, DesignPoint, TransferSpec};
 use pim_workloads::PRIM_SUITE;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A unique simulation point: (bytes, is_dram_to_pim, is_pim_mmu).
 type Key = (u64, bool, bool);
@@ -23,7 +23,7 @@ type Key = (u64, bool, bool);
 /// Transfer times in ms, memoized per [`Key`] — many workloads share
 /// footprints, and all unique points run as one parallel batch.
 struct XferSim {
-    cache: HashMap<Key, f64>,
+    cache: BTreeMap<Key, f64>,
     quick: bool,
 }
 
@@ -87,7 +87,7 @@ impl XferSim {
 fn main() {
     let args = HarnessArgs::parse();
     let mut sim = XferSim {
-        cache: HashMap::new(),
+        cache: BTreeMap::new(),
         quick: !args.full,
     };
     // Gather every (bytes, direction, design) point of the suite, then

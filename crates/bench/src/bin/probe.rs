@@ -8,6 +8,10 @@ use pim_bench::cfg;
 use pim_mmu::XferKind;
 use pim_sim::{run_memcpy, run_transfer, DesignPoint, TransferSpec};
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "each row reports the wall time its simulation took"
+)]
 fn main() {
     let bytes: u64 = std::env::args()
         .nth(1)

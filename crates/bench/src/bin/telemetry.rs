@@ -128,6 +128,10 @@ fn export(serving: &ServingSystem) -> (String, String) {
     (trace.render(), snap.render())
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the overhead rows time the scenario on the host clock"
+)]
 fn main() {
     let args = parse_args();
     let telemetry_on = TelemetryConfig {

@@ -110,6 +110,10 @@ pub struct SweepMeta {
 impl SweepMeta {
     /// Run `f`, timing it on the wall clock; `f` returns the simulated
     /// span and the system's final [`TimingStats`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "wall_ms reports the harness's own run time"
+    )]
     pub fn measure(f: impl FnOnce() -> (f64, TimingStats)) -> Self {
         let start = Instant::now();
         let (sim_ns, stats) = f();

@@ -29,7 +29,7 @@ use pim_runtime::{
     Attribution, FlightRecorder, JobWaterfall, SampleSeries, SloTracker, SpanEvent, SpanKind,
     Stage, NO_SEQ, NO_TENANT,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Shard thread id on the machine process (tid 0 is reserved for the
 /// process-scoped counter track).
@@ -93,7 +93,7 @@ fn args(pairs: &[(&str, Json)]) -> (&'static str, Json) {
 /// (e.g. when the pick was evicted from a saturated recorder).
 fn device_label(
     ev: &SpanEvent,
-    owners: &HashMap<(u32, u64), (u32, u64)>,
+    owners: &BTreeMap<(u32, u64), (u32, u64)>,
     tenants: &[&str],
 ) -> String {
     match owners.get(&(ev.shard, ev.seq)) {
@@ -128,7 +128,7 @@ pub fn chrome_trace(
     slo: Option<&SloTracker>,
 ) -> Json {
     // Stage waterfalls keyed like the async job slices they decorate.
-    let waterfalls: HashMap<(u32, u64), &JobWaterfall> = attribution
+    let waterfalls: BTreeMap<(u32, u64), &JobWaterfall> = attribution
         .map(|a| {
             a.jobs
                 .iter()
@@ -185,7 +185,7 @@ pub fn chrome_trace(
 
     // Join device-side events (which carry only `(shard, seq)`) to
     // their owners through the dispatch-pick of the same key.
-    let mut owners: HashMap<(u32, u64), (u32, u64)> = HashMap::new();
+    let mut owners: BTreeMap<(u32, u64), (u32, u64)> = BTreeMap::new();
     for ev in rec.iter() {
         if ev.kind == SpanKind::DispatchPick && ev.seq != NO_SEQ {
             owners.insert((ev.shard, ev.seq), (ev.tenant, ev.job));
@@ -208,9 +208,9 @@ pub fn chrome_trace(
     // after the host claims it); job slices pair arrival with
     // completion. Endpoints whose partner is missing (recorder
     // eviction, or a run cut off mid-flight) degrade to instants.
-    let mut device_start: HashMap<(u32, u64), (f64, u64)> = HashMap::new();
-    let mut recalls: HashMap<(u32, u64), VecDeque<(f64, u64)>> = HashMap::new();
-    let mut arrivals: HashMap<(u32, u64), (f64, u64)> = HashMap::new();
+    let mut device_start: BTreeMap<(u32, u64), (f64, u64)> = BTreeMap::new();
+    let mut recalls: BTreeMap<(u32, u64), VecDeque<(f64, u64)>> = BTreeMap::new();
+    let mut arrivals: BTreeMap<(u32, u64), (f64, u64)> = BTreeMap::new();
 
     for ev in rec.iter() {
         let t = ev.t_ns;
@@ -573,9 +573,9 @@ pub fn validate_chrome_trace(trace: &Json) -> Result<TraceSummary, String> {
         events: events.len(),
         ..TraceSummary::default()
     };
-    let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut sync_depth: HashMap<(u64, u64), i64> = HashMap::new();
-    let mut async_depth: HashMap<(u64, u64, String), i64> = HashMap::new();
+    let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    let mut sync_depth: BTreeMap<(u64, u64), i64> = BTreeMap::new();
+    let mut async_depth: BTreeMap<(u64, u64, String), i64> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")

@@ -252,11 +252,6 @@ pub struct Dce {
 }
 
 impl Dce {
-    /// Create an idle engine (shard 0 — the single-engine system).
-    pub fn new(cfg: DceConfig, mapper: HetMap, space: PimAddrSpace) -> Self {
-        Dce::with_shard(cfg, mapper, space, 0)
-    }
-
     /// Create an idle engine for shard `shard` of a multi-DCE system:
     /// identical hardware, but its memory traffic carries the source id
     /// `DCE_SOURCE + shard` so the composer can route completions back
@@ -921,7 +916,7 @@ mod tests {
         let pim = Organization::upmem_dimm(4, 2);
         let het = HetMap::pim_mmu(dram, pim);
         let space = PimAddrSpace::new(het.pim_base(), pim);
-        Dce::new(DceConfig::table1(), het, space)
+        Dce::with_shard(DceConfig::table1(), het, space, 0)
     }
 
     /// Drive the engine against a perfect memory that completes every

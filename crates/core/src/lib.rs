@@ -38,7 +38,7 @@
 //!     8192,
 //!     0,
 //! );
-//! let mut dce = Dce::new(DceConfig::table1(), het, space);
+//! let mut dce = Dce::with_shard(DceConfig::table1(), het, space, 0);
 //! dce.enqueue(op, DceMode::PimMs).unwrap();
 //!
 //! // Tick the engine against a memory that completes every request at

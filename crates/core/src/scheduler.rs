@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use pim_mapping::Organization;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn space() -> PimAddrSpace {
         PimAddrSpace::new(PhysAddr(32 << 30), Organization::upmem_dimm(4, 2))
@@ -432,7 +432,7 @@ mod tests {
             )
             .unwrap();
             let mut sched = PairScheduler::new(&o, &s, DceMode::Coarse);
-            let mut seen_channels = HashSet::new();
+            let mut seen_channels = BTreeSet::new();
             while let Some(p) = sched.next_pair() {
                 // The PIM-side address is dst for DRAM→PIM, src for
                 // PIM→DRAM; its channel coordinate is the true tag.
@@ -524,8 +524,7 @@ mod tests {
             // per round: the visitation sequence is exactly that order
             // repeated `lines_per_core` times, so bank groups rotate on
             // every step while the bank only advances between runs.
-            let mut visits: std::collections::HashMap<u32, Vec<u32>> =
-                std::collections::HashMap::new();
+            let mut visits: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             while let Some(p) = sched.next_pair() {
                 let (core, _) = s.locate(p.dst);
                 visits.entry(p.pim_channel).or_default().push(core);
@@ -607,7 +606,7 @@ mod tests {
             let o = op(dedup.clone(), lines_per_core * 64);
             let mut sched = PairScheduler::new(&o, &s, mode);
             prop_assert_eq!(sched.total_lines(), dedup.len() as u64 * lines_per_core);
-            let mut seen: HashSet<(u64, u64)> = HashSet::new();
+            let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
             while let Some(p) = sched.next_pair() {
                 prop_assert!(seen.insert((p.src.0, p.dst.0)), "duplicate pair {:?}", p);
             }

@@ -22,7 +22,7 @@ fn fresh_dce() -> Dce {
     let pim = Organization::upmem_dimm(4, 2);
     let het = HetMap::pim_mmu(dram, pim);
     let space = PimAddrSpace::new(het.pim_base(), pim);
-    Dce::new(DceConfig::table1(), het, space)
+    Dce::with_shard(DceConfig::table1(), het, space, 0)
 }
 
 /// `n` distinct PIM cores chosen pseudo-randomly from `seed` (odd

@@ -217,12 +217,6 @@ impl TimingParams {
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * self.t_ck_ps as f64 / 1000.0
     }
-
-    /// Convert nanoseconds to (rounded-up) cycles.
-    #[inline]
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        ((ns * 1000.0) / self.t_ck_ps as f64).ceil() as u64
-    }
 }
 
 impl Default for TimingParams {
@@ -260,9 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn unit_conversions_roundtrip() {
+    fn cycles_to_ns_scales_by_tck() {
         let t = TimingParams::ddr4_2400();
-        assert_eq!(t.ns_to_cycles(t.cycles_to_ns(100)), 100);
         assert!((t.cycles_to_ns(1200) - 999.6).abs() < 1e-6);
     }
 

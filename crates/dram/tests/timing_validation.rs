@@ -124,7 +124,7 @@ fn every_request_completes_exactly_once() {
         .collect();
     let mut ctrl = MemController::new(org, timing);
     let mut pending: std::collections::VecDeque<_> = reqs.into();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     let mut guard = 0;
     while seen.len() < 500 {
         while let Some(&req) = pending.front() {

@@ -203,10 +203,10 @@ mod tests {
     #[test]
     fn dram_partition_spreads_only_under_pim_mmu() {
         let (het, base) = maps();
-        let het_ch: std::collections::HashSet<u32> = (0..8u64)
+        let het_ch: std::collections::BTreeSet<u32> = (0..8u64)
             .map(|i| het.map(PhysAddr(i * 64)).addr.channel)
             .collect();
-        let base_ch: std::collections::HashSet<u32> = (0..8u64)
+        let base_ch: std::collections::BTreeSet<u32> = (0..8u64)
             .map(|i| base.map(PhysAddr(i * 64)).addr.channel)
             .collect();
         assert_eq!(het_ch.len(), 4, "HetMap DRAM side must rotate channels");

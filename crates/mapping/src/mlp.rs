@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // A 1 MiB-strided stream (larger than one row span, so the plain bit
 /// // slice would pin every access to channel 0) still rotates across
 /// // channels thanks to the XOR hash.
-/// let chans: std::collections::HashSet<u32> =
+/// let chans: std::collections::BTreeSet<u32> =
 ///     (0..64u64).map(|i| m.map(PhysAddr(i << 20)).channel).collect();
 /// assert!(chans.len() > 1);
 /// ```
@@ -117,7 +117,7 @@ impl MapFn for MlpCentric {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn org() -> Organization {
         Organization::ddr4_dimm(4, 2)
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn consecutive_lines_spread_channels() {
         let m = MlpCentric::new(org());
-        let chans: HashSet<u32> = (0..16u64)
+        let chans: BTreeSet<u32> = (0..16u64)
             .map(|i| m.map(PhysAddr(i * 64)).channel)
             .collect();
         assert_eq!(chans.len(), 4);
@@ -140,10 +140,10 @@ mod tests {
         // Stride of one full row*channels*banks: without hashing every
         // access hits channel 0; with hashing they spread.
         let stride = o.row_bytes() * (o.channels * o.bank_groups * o.banks) as u64;
-        let plain_ch: HashSet<u32> = (0..32)
+        let plain_ch: BTreeSet<u32> = (0..32)
             .map(|i| plain.map(PhysAddr(i * stride)).channel)
             .collect();
-        let hash_ch: HashSet<u32> = (0..32)
+        let hash_ch: BTreeSet<u32> = (0..32)
             .map(|i| hashed.map(PhysAddr(i * stride)).channel)
             .collect();
         assert_eq!(plain_ch.len(), 1);

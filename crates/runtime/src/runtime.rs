@@ -290,8 +290,8 @@ pub struct Runtime {
     /// drain, held until the recall's interrupt is fielded and the
     /// remainder re-attaches to its job. Keyed by `(shard, ring seq)`.
     /// A `BTreeMap` so any future iteration is key-ordered: hash-order
-    /// iteration here would break bit-identical replay (`pim-lint`
-    /// enforces this workspace-wide).
+    /// iteration here would break bit-identical replay (`clippy.toml`
+    /// bans hash-ordered collections workspace-wide).
     suspended: BTreeMap<(usize, u64), SuspendedTransfer>,
     next_job_id: u64,
     records: Vec<JobRecord>,

@@ -101,9 +101,10 @@ impl ServingSystem {
         let mut sys = System::new(cfg, vec![]);
         let host = sys.register_domain("runtime", host_ps);
         let sampler = telemetry.enabled.then(|| {
-            // Truncation intended: sub-ps remainders of the configured
-            // sampling interval cannot matter.
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "sub-ps remainders of the configured sampling interval cannot matter"
+            )]
             let period_ps = (telemetry.sample_ns * 1000.0).max(1.0) as u64;
             let columns: Vec<String> = ["backlog", "in_flight_bytes", "edges_skipped"]
                 .into_iter()
@@ -256,6 +257,10 @@ impl ServingSystem {
         // Host-side wall-time credit (self-profile only; None otherwise
         // so the disabled path never reads the host clock).
         let profiling = self.sys.self_profile_enabled();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the self-profiler measures the simulator; its reads never feed simulated time"
+        )]
         let timer = || profiling.then(std::time::Instant::now);
         let elapsed = |t0: Option<std::time::Instant>| {
             t0.map_or(0, |t| {

@@ -18,16 +18,20 @@ pub fn ticks_to_ns(ticks: u64) -> f64 {
 /// non-negative spans it is used on) — the historical conversion for
 /// sampling periods and run horizons; the golden pins depend on it.
 #[inline]
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "truncation toward zero is the defined conversion"
+)]
 pub fn ns_ticks_floor(ns: f64) -> u64 {
     (ns * TICKS_PER_NS as f64) as u64
 }
 
 /// Convert nanoseconds to ticks (rounding up).
 #[inline]
-// Ceil-then-truncate is the defined conversion: every simulated horizon
-// fits u64 ticks by construction (u64 spans ~61 years of sim time).
-#[allow(clippy::cast_possible_truncation)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "every simulated horizon fits u64 ticks (u64 spans ~61 years of sim time)"
+)]
 pub fn ns_to_ticks(ns: f64) -> u64 {
     (ns * TICKS_PER_NS as f64).ceil() as u64
 }
@@ -40,8 +44,10 @@ pub fn ns_to_ticks(ns: f64) -> u64 {
 pub fn period_ticks(ps: u64) -> u64 {
     let scaled = ps * TICKS_PER_NS;
     // Allow sub-1% rounding (312 ps for 3.2 GHz stores as 30 ticks).
-    // Round-then-truncate is exact: any real period fits u64 ticks.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "round-then-truncate is exact: any real period fits u64 ticks"
+    )]
     let period = (scaled as f64 / 1000.0).round() as u64;
     assert!(period > 0, "period {ps} ps too small for the tick base");
     period

@@ -288,8 +288,10 @@ impl ClockDomains {
         let ticks = ns * TICKS_PER_NS as f64;
         // Start from a safe underestimate, then walk forward using the
         // exact conversion (the walk is a couple of iterations at most).
-        // Truncation toward zero is exactly the underestimate we want.
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "truncation toward zero is exactly the underestimate wanted"
+        )]
         let mut e = if ticks <= dom.origin as f64 {
             0
         } else {

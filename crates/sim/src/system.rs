@@ -601,6 +601,10 @@ impl System {
 
     /// Start a phase timer iff the self-profile is armed.
     #[inline]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the self-profiler measures the simulator; its reads never feed simulated time"
+    )]
     fn phase_timer(&self) -> Option<std::time::Instant> {
         self.profile.then(std::time::Instant::now)
     }

@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn suite_has_16_uniquely_named_workloads() {
-        let names: std::collections::HashSet<&str> = PRIM_SUITE.iter().map(|w| w.name).collect();
+        let names: std::collections::BTreeSet<&str> = PRIM_SUITE.iter().map(|w| w.name).collect();
         assert_eq!(names.len(), 16);
     }
 
